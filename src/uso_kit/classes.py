@@ -4,14 +4,17 @@ A border USO is one that can appear as a facet of a PUSO; a USO psi is
 border exactly when every vertex pair with psi(U) XOR psi(V) contained in
 U XOR V has |psi(U) XOR psi(V)| odd.  An odd USO is the mirror notion for
 the inverse outmap: every pair with U XOR V contained in phi(U) XOR phi(V)
-has |U XOR V| odd.  Both direct pair conditions are implemented here; the
-test suite cross-checks them against the dual route (odd = dual is border)
-and the cap route (odd = every face is a cap).
+has |U XOR V| odd.  The two direct pair conditions differ only in which
+side must contain the other, so one containment scan decides both; the
+test suite cross-checks it against the dual route (odd = dual is border),
+the cap route (odd = every face is a cap) and a pair-by-pair reference.
 """
 
 from __future__ import annotations
 
 import enum
+
+import numpy as np
 
 from .cube import FaceSpec, Outmap, faces_iter, full_mask
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
@@ -23,22 +26,68 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
+def _face_inverse(phi: Outmap, face: FaceSpec) -> dict[int, int]:
+    """Map each induced value on the face back to its vertex.
+
+    Raises NotBijectiveError naming the first two vertices that share a value.
+    """
+    carrier = face.carrier
+    values = phi.values
+    inverse: dict[int, int] = {}
+    for v in face.vertices():
+        key = values[v] & carrier
+        if key in inverse:
+            raise NotBijectiveError(
+                f"outmap is not bijective: vertices {inverse[key]} and {v} share value {key:#b}"
+            )
+        inverse[key] = v
+    return inverse
+
+
 def dual(phi: Outmap) -> Outmap:
     """Inverse outmap phi**-1; requires phi to be a bijection on vertices."""
-    size = 1 << phi.n
-    inverse = [-1] * size
-    for v, value in enumerate(phi.values):
-        if inverse[value] >= 0:
-            raise NotBijectiveError(
-                f"outmap is not bijective: vertices {inverse[value]} and {v} share value {value:#b}"
-            )
-        inverse[value] = v
-    return Outmap(phi.n, tuple(inverse))
+    inverse = _face_inverse(phi, phi.whole_face())
+    return Outmap(phi.n, tuple(inverse[value] for value in range(1 << phi.n)))
 
 
 def _require_uso(phi: Outmap, counter: PairEvalCounter | None) -> None:
     if not is_uso_fast(phi, counter):
         raise NotAUsoError("input outmap is not a unique sink orientation")
+
+
+def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
+    """Shared pair scan of is_border (odd=False) and is_odd (odd=True).
+
+    With D = phi(U) XOR phi(V), a pair fails when D is contained in U XOR V
+    and |D| is even (border), or when U XOR V is contained in D and
+    |U XOR V| is even (odd).  Pairs (U, V), U < V, are taken in
+    lexicographic order, one row U at a time with numpy over all V > U;
+    the counter receives exactly the number of pairs up to and including
+    the first failing one, as a pair-by-pair scan would.
+    """
+    _require_uso(phi, counter)
+    size = 1 << phi.n
+    verts = np.arange(size, dtype=np.int64)
+    values = np.asarray(phi.values, dtype=np.int64)
+    parity = np.zeros(size, dtype=bool)
+    for pos in range(phi.n):
+        parity ^= (verts >> pos & 1).astype(bool)
+    used = 0
+    result = True, None
+    for u in range(size - 1):
+        duv = verts[u + 1 :] ^ u
+        diff = values[u + 1 :] ^ values[u]
+        inner, outer = (duv, diff) if odd else (diff, duv)
+        bad = ((inner & ~outer) == 0) & ~parity[inner]
+        k = int(bad.argmax())
+        if bad[k]:
+            used += k + 1
+            result = False, (u, u + 1 + k)
+            break
+        used += size - 1 - u
+    if counter is not None:
+        counter.count += used
+    return result
 
 
 def is_border(phi: Outmap, counter: PairEvalCounter | None = None):
@@ -48,24 +97,7 @@ def is_border(phi: Outmap, counter: PairEvalCounter | None = None):
     with phi(U) XOR phi(V) contained in U XOR V but of even size is
     returned as witness.  Raises NotAUsoError for non-USO input.
     """
-    _require_uso(phi, counter)
-    values = phi.values
-    size = 1 << phi.n
-    used = 0
-    result = True, None
-    for u in range(size):
-        vu = values[u]
-        for v in range(u + 1, size):
-            used += 1
-            diff = vu ^ values[v]
-            if not diff & ~(u ^ v) and not diff.bit_count() & 1:
-                result = False, (u, v)
-                break
-        if result[1]:
-            break
-    if counter is not None:
-        counter.count += used
-    return result
+    return _containment_scan(phi, counter, odd=False)
 
 
 def is_odd(phi: Outmap, counter: PairEvalCounter | None = None):
@@ -76,24 +108,7 @@ def is_odd(phi: Outmap, counter: PairEvalCounter | None = None):
     pair (lexicographic scan) is returned as witness.  Raises NotAUsoError
     for non-USO input.
     """
-    _require_uso(phi, counter)
-    values = phi.values
-    size = 1 << phi.n
-    used = 0
-    result = True, None
-    for u in range(size):
-        vu = values[u]
-        for v in range(u + 1, size):
-            used += 1
-            duv = u ^ v
-            if not duv & ~(vu ^ values[v]) and not duv.bit_count() & 1:
-                result = False, (u, v)
-                break
-        if result[1]:
-            break
-    if counter is not None:
-        counter.count += used
-    return result
+    return _containment_scan(phi, counter, odd=True)
 
 
 def complementary_vertex(phi: Outmap, w: int, face: FaceSpec | None = None) -> int:
@@ -109,16 +124,7 @@ def complementary_vertex(phi: Outmap, w: int, face: FaceSpec | None = None) -> i
     if not face.contains(w):
         raise ValueError(f"vertex {w:#b} lies outside the face")
     carrier = face.carrier
-    values = phi.values
-    seen: dict[int, int] = {}
-    for v in face.vertices():
-        key = values[v] & carrier
-        if key in seen:
-            raise NotBijectiveError(
-                f"induced outmap is not bijective: vertices {seen[key]} and {v} share value {key:#b}"
-            )
-        seen[key] = v
-    return seen[(values[w] & carrier) ^ carrier]
+    return _face_inverse(phi, face)[(phi.values[w] & carrier) ^ carrier]
 
 
 def complementary_pairs(phi: Outmap, face: FaceSpec | None = None) -> tuple[tuple[int, int], ...]:
@@ -126,18 +132,10 @@ def complementary_pairs(phi: Outmap, face: FaceSpec | None = None) -> tuple[tupl
     if face is None:
         face = phi.whole_face()
     carrier = face.carrier
-    values = phi.values
-    seen: dict[int, int] = {}
-    for v in face.vertices():
-        key = values[v] & carrier
-        if key in seen:
-            raise NotBijectiveError(
-                f"induced outmap is not bijective: vertices {seen[key]} and {v} share value {key:#b}"
-            )
-        seen[key] = v
+    inverse = _face_inverse(phi, face)
     pairs = []
-    for v in face.vertices():
-        partner = seen[(values[v] & carrier) ^ carrier]
+    for key, v in inverse.items():
+        partner = inverse[key ^ carrier]
         if v <= partner:
             pairs.append((v, partner))
     return tuple(pairs)

@@ -12,7 +12,8 @@ argument accepts "-" for stdin and results go to stdout.  Exit codes:
 * 3  unreadable or malformed input files, or a request beyond the
      supported resource limits
 
-The default job count for the counting commands comes from USO_KIT_JOBS.
+The default job count of the count command comes from USO_KIT_JOBS; a
+value that is not a positive integer there or in --jobs is a usage error.
 """
 
 from __future__ import annotations
@@ -306,11 +307,17 @@ def _cmd_dot(args) -> int:
 # parser
 
 
-def _default_jobs() -> int:
+def _positive_int(text: str) -> int:
+    """argparse type of --jobs, also applied to its USO_KIT_JOBS default."""
     try:
-        return max(1, int(os.environ.get("USO_KIT_JOBS", "1")))
+        value = int(text)
     except ValueError:
-        return 1
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer (from --jobs or USO_KIT_JOBS), got {text!r}"
+        )
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact class counts per dimension")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--opt-in", help="long-running cells, comma separated: uso4,odd5")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument(
+        "--jobs",
+        type=_positive_int,
+        default=os.environ.get("USO_KIT_JOBS", "1"),
+        help="worker processes (default: USO_KIT_JOBS, else 1)",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 

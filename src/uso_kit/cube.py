@@ -25,6 +25,7 @@ compresses carrier coordinates onto 1..dim in increasing order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator
 
 from .errors import FormatError
@@ -65,6 +66,16 @@ def coords_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _subsets(mask: int) -> Iterator[int]:
+    """Every subset of a mask, in increasing order."""
+    s = 0
+    while True:
+        yield s
+        if s == mask:
+            return
+        s = (s - mask) & mask
+
+
 @dataclass(frozen=True)
 class FaceSpec:
     """Face [lower, upper] of a cube: all vertices V with lower <= V <= upper."""
@@ -94,13 +105,9 @@ class FaceSpec:
 
     def vertices(self) -> Iterator[int]:
         """Vertices of the face in increasing index order."""
-        carrier = self.carrier
-        s = 0
-        while True:
-            yield self.lower | s
-            if s == carrier:
-                return
-            s = (s - carrier) & carrier
+        lower = self.lower
+        for s in _subsets(self.carrier):
+            yield lower | s
 
 
 def antipode(v: int, face: FaceSpec) -> int:
@@ -125,15 +132,32 @@ def faces_iter(n: int, min_dim: int = 0) -> Iterator[FaceSpec]:
         return
     full = full_mask(n)
     for carrier in range(full + 1):
-        if carrier.bit_count() < min_dim:
-            continue
-        free = full ^ carrier
-        a = 0
-        while True:
-            yield FaceSpec(a, a | carrier)
-            if a == free:
-                break
-            a = (a - free) & free
+        if carrier.bit_count() >= min_dim:
+            for a in _subsets(full ^ carrier):
+                yield FaceSpec(a, a | carrier)
+
+
+@lru_cache(maxsize=None)
+def face_schedule(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Antipodal pair of every face with dim >= 1, as parallel (lowers, uppers).
+
+    Faces are ordered by dimension, and within one dimension in faces_iter
+    order, so a scan that stops at the first failing face stops at a face
+    of minimal dimension.  Both tuples hold the int objects of one
+    range(2**n) tuple, which keeps the cached schedule of a 12-cube near
+    8 MB.
+    """
+    full = full_mask(n)
+    ints = tuple(range(full + 1))
+    lowers: list[int] = []
+    uppers: list[int] = []
+    for dim in range(1, n + 1):
+        for carrier in range(1, full + 1):
+            if carrier.bit_count() == dim:
+                for a in _subsets(full ^ carrier):
+                    lowers.append(ints[a])
+                    uppers.append(ints[a | carrier])
+    return tuple(lowers), tuple(uppers)
 
 
 @dataclass(frozen=True)
@@ -173,18 +197,6 @@ def face_sinks(phi: Outmap, face: FaceSpec | None = None) -> tuple[int, ...]:
     return tuple(v for v in face.vertices() if not values[v] & carrier)
 
 
-def _carrier_bits(carrier: int) -> list[int]:
-    """Bit positions of a carrier, increasing."""
-    bits = []
-    pos = 0
-    while carrier:
-        if carrier & 1:
-            bits.append(pos)
-        carrier >>= 1
-        pos += 1
-    return bits
-
-
 def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
     """Outmap induced on a face, re-indexed to a standalone dim(face)-cube.
 
@@ -194,7 +206,7 @@ def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
     """
     if face.upper > full_mask(phi.n):
         raise ValueError("face does not fit inside the cube")
-    bits = _carrier_bits(face.carrier)
+    bits = [i - 1 for i in coords_from_mask(face.carrier)]
     k = len(bits)
     values = []
     for w in range(1 << k):

@@ -7,18 +7,25 @@ Enumeration strategy by dimension:
   pruning on every completed 2-face, then a global sink check at the leaves.
 * n >= 3 odd USOs: compose every ordered pair of (n-1)-dimensional odd USOs
   into opposite facets.  The connecting-edge pattern is forced up to a
-  global flip because every spanning 2-face of an odd USO must be a bow, so
-  each ordered pair contributes 0 or 2 candidates (see connect_facets); a
-  candidate survives iff every face spanning the new coordinate has a
-  unique sink (the two facet sinks' connecting edges agree) and the
-  cross-facet odd pair condition holds.  That structured filter is
-  equivalent to running the generic odd test on the composed outmap and is
-  asserted equivalent in the test suite.
+  global flip because every spanning 2-face of an odd USO must be a bow
+  (the bow rule), so each ordered pair contributes 0 or 2 candidates; the
+  pattern is forced along the spanning tree that joins each facet vertex
+  to the vertex without its lowest coordinate.  A candidate survives iff
+  every face spanning the new coordinate has a unique sink (the two facet
+  sinks' connecting edges agree) and the cross-facet odd pair condition
+  holds.
+
+Composition strategy: one vectorized filter, _valid_upper_mask, tests a
+lower facet against every upper facet at once.  It builds the odd lists
+for n = 3, 4, streams n = 5 and counts odd(n + 1).  The scalar
+_compose_valid_pattern is the reference it is tested against, and the
+filter is equivalent to running the generic odd test on the composed
+outmap, which the test suite also asserts.
 
 Counting uses the same composition idea without materializing outmaps:
 USO counts sum 2**(components of the sink-agreement graph) over ordered
-facet pairs, and the dimension-5 odd count vectorizes the pair filter with
-numpy.  All streams and tables are deterministic: facet pairs are visited
+facet pairs, found by one union-find (_merge_sinks) that random_uso also
+uses.  All streams and tables are deterministic: facet pairs are visited
 in enumeration order and workers only ever shard contiguous index ranges
 that are recombined in order, so results are identical for any job count.
 
@@ -38,7 +45,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .classes import dual, is_odd
-from .cube import FaceSpec, Outmap, faces_iter, full_mask, value_line
+from .cube import FaceSpec, Outmap, face_schedule, faces_iter, value_line
 from .errors import ResourceLimitError
 from .recognition import is_puso, is_uso_fast
 
@@ -155,41 +162,47 @@ def connect_facets(lower: Outmap, upper: Outmap, seed: int) -> Outmap | None:
 
     seed fixes the connecting edge at facet vertex 0 (1 = points toward the
     upper facet); the remaining connecting edges are forced by requiring
-    every 2-face spanning the new coordinate to be a bow, and propagate by
-    breadth-first traversal that visits every facet vertex exactly once.
-    Returns the composed outmap, or None when some propagated edge
-    disagrees with an already-fixed one.  The result is a candidate only;
-    callers still filter (each ordered pair yields at most two odd USOs).
+    every 2-face spanning the new coordinate to be a bow.  The pattern is
+    forced along a spanning tree, then every (vertex, coordinate) bow
+    constraint is checked from both endpoints.  Returns the composed
+    outmap, or None when some constraint disagrees with the forced
+    pattern.  The result is a candidate only; callers still filter (each
+    ordered pair yields at most two odd USOs).
     """
     if lower.n != upper.n:
         raise ValueError("facets must have equal dimension")
     if seed not in (0, 1):
         raise ValueError("seed must be 0 or 1")
     m = lower.n
-    size = 1 << m
     psi0 = lower.values
     psi1 = upper.values
-    pattern: list[int | None] = [None] * size
-    pattern[0] = seed
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
+    g = _tree_pattern(psi0, psi1, m)
+    for v in range(1 << m):
+        h = psi0[v] ^ psi1[v]
         for pos in range(m):
-            w = v ^ (1 << pos)
-            # bow rule: parallel facet edges force antiparallel connecting
-            # edges and vice versa
-            forced = pattern[v] ^ (((psi0[v] ^ psi1[v]) >> pos) & 1) ^ 1
-            if pattern[w] is None:
-                pattern[w] = forced
-                queue.append(w)
-            elif pattern[w] != forced:
+            if not ((g >> v) ^ (g >> (v ^ 1 << pos)) ^ (h >> pos)) & 1:
                 return None
-    bits = 0
-    for v in range(size):
-        bits |= pattern[v] << v
-    return Outmap(m + 1, tuple(_compose_build(psi0, psi1, m, bits)))
+    if seed:
+        g ^= (1 << (1 << m)) - 1
+    return Outmap(m + 1, tuple(_compose_build(psi0, psi1, m, g)))
+
+
+def _tree_pattern(psi0, psi1, m: int) -> int:
+    """Seed-0 connecting pattern forced by the bow rule along a spanning tree.
+
+    Bit v is the connecting edge at facet vertex v (1 = toward the upper
+    facet).  The tree joins v to v minus its lowest coordinate; across a
+    facet edge the connecting edges are antiparallel when the two facet
+    edges are parallel, and parallel otherwise.
+    """
+    g = 0
+    for v in range(1, 1 << m):
+        bit = v & -v
+        parent = v ^ bit
+        pos = bit.bit_length() - 1
+        h = (((psi0[parent] ^ psi1[parent]) >> pos) & 1) ^ 1
+        g |= (((g >> parent) & 1) ^ h) << v
+    return g
 
 
 def _compose_build(psi0, psi1, m: int, pattern: int) -> list[int]:
@@ -198,12 +211,6 @@ def _compose_build(psi0, psi1, m: int, pattern: int) -> list[int]:
     values = [psi0[v] | top if pattern >> v & 1 else psi0[v] for v in range(top)]
     values += [psi1[v] if pattern >> v & 1 else psi1[v] | top for v in range(top)]
     return values
-
-
-@lru_cache(maxsize=None)
-def _proper_faces(m: int) -> tuple[tuple[int, int], ...]:
-    """(lower, carrier) of every facet-cube face with dim >= 1, faces_iter order."""
-    return tuple((f.lower, f.carrier) for f in faces_iter(m, min_dim=1))
 
 
 @lru_cache(maxsize=None)
@@ -216,13 +223,13 @@ def _odd_distance_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
 
 
 def _sink_rows(values_list: Iterable[tuple[int, ...]], m: int) -> np.ndarray:
-    """Sink vertex of every face (dim >= 1, faces_iter order) for each USO given."""
+    """Sink vertex of every face with dim >= 1 (face_schedule order) for each USO given."""
     vals = np.asarray(list(values_list), dtype=np.uint32)
-    faces = _proper_faces(m)
-    rows = np.empty((vals.shape[0], len(faces)), dtype=np.uint8)
-    for f, (lower, carrier) in enumerate(faces):
-        verts = np.fromiter(FaceSpec(lower, lower | carrier).vertices(), dtype=np.int64)
-        block = vals[:, verts] & carrier
+    lowers, uppers = face_schedule(m)
+    rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8)
+    for f, (lower, upper) in enumerate(zip(lowers, uppers)):
+        verts = np.fromiter(FaceSpec(lower, upper).vertices(), dtype=np.int64)
+        block = vals[:, verts] & (lower ^ upper)
         rows[:, f] = verts[(block == 0).argmax(axis=1)]
     return rows
 
@@ -236,14 +243,10 @@ def _compose_valid_pattern(psi0, psi1, m, row0, row1, odd_pairs) -> int | None:
     cross-facet pair at odd distance both satisfies the inclusion
     condition and agrees (odd pair condition).  Both candidates of a pair
     stand or fall together, so a non-None return stands for two results.
+    This scalar form is the reference the vectorized _valid_upper_mask is
+    tested against.
     """
-    g = 0
-    for v in range(1, 1 << m):
-        bit = v & -v
-        parent = v ^ bit
-        pos = bit.bit_length() - 1
-        h = (((psi0[parent] ^ psi1[parent]) >> pos) & 1) ^ 1
-        g |= (((g >> parent) & 1) ^ h) << v
+    g = _tree_pattern(psi0, psi1, m)
     for s0, s1 in zip(row0, row1):
         if ((g >> s0) ^ (g >> s1)) & 1:
             return None
@@ -264,20 +267,25 @@ def _odd_values(m: int) -> tuple[tuple[int, ...], ...]:
         raise ResourceLimitError("odd USO lists are materialized up to n = 4 only")
     if m <= 2:
         return tuple(phi.values for phi in enumerate_usos(m) if is_odd(phi)[0])
-    prev = _odd_values(m - 1)
-    rows = _sink_rows(prev, m - 1).tolist()
-    odd_pairs = _odd_distance_pairs(m - 1)
-    size = 1 << (m - 1)
-    flip_all = (1 << size) - 1
-    out = []
+    return tuple(_composed_odd(m - 1))
+
+
+def _composed_odd(m: int) -> Iterator[tuple[int, ...]]:
+    """Odd (m+1)-USOs composed from the dimension-m odd list, in enumeration order.
+
+    Ordered facet pairs are visited lower-major; each valid pair yields its
+    seed-0 composition followed by the flipped one.
+    """
+    prev = _odd_values(m)
+    nib, rows = _facet_arrays(m)
+    flip_all = (1 << (1 << m)) - 1
     for i0, psi0 in enumerate(prev):
-        row0 = rows[i0]
-        for i1, psi1 in enumerate(prev):
-            g = _compose_valid_pattern(psi0, psi1, m - 1, row0, rows[i1], odd_pairs)
-            if g is not None:
-                out.append(tuple(_compose_build(psi0, psi1, m - 1, g)))
-                out.append(tuple(_compose_build(psi0, psi1, m - 1, g ^ flip_all)))
-    return tuple(out)
+        valid, patterns = _valid_upper_mask(i0, nib, rows, m)
+        for i1 in np.nonzero(valid)[0]:
+            psi1 = prev[i1]
+            g = int(patterns[i1])
+            yield tuple(_compose_build(psi0, psi1, m, g))
+            yield tuple(_compose_build(psi0, psi1, m, g ^ flip_all))
 
 
 def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
@@ -290,21 +298,9 @@ def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
         raise ResourceLimitError(
             "odd enumeration is capped at n = 4 (n = 5 via the long-running opt-in)"
         )
-    if n <= 4:
-        for values in _odd_values(n):
-            yield Outmap(n, values)
-        return
-    prev = _odd_values(4)
-    nib, rows = _facet_arrays(4)
-    size = 1 << 4
-    flip_all = (1 << size) - 1
-    for i0, psi0 in enumerate(prev):
-        valid, patterns = _valid_upper_mask(i0, nib, rows, 4)
-        for i1 in np.nonzero(valid)[0]:
-            psi1 = prev[i1]
-            g = int(patterns[i1])
-            yield Outmap(5, tuple(_compose_build(psi0, psi1, 4, g)))
-            yield Outmap(5, tuple(_compose_build(psi0, psi1, 4, g ^ flip_all)))
+    values_iter = _odd_values(n) if n <= 4 else _composed_odd(4)
+    for values in values_iter:
+        yield Outmap(n, values)
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +353,35 @@ def _odd_successor_worker(args) -> int:
     return total
 
 
+def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
+    """Union-find over facet vertices: join each face's sink in the lower
+    facet (row0) with that face's sink in the upper facet (row1).
+
+    Returns the forest (parent list) and its number of components; all
+    connecting edges of one component must point the same way.
+    """
+    parent = list(range(size))
+    comps = size
+    for a, b in zip(row0, row1):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            comps -= 1
+    return parent, comps
+
+
 def _uso_successor_worker(args) -> int:
     rows, size, lo, hi = args
     total = 0
     for i0 in range(lo, hi):
         row0 = rows[i0]
         for row1 in rows:
-            parent = list(range(size))
-            comps = size
-            for a, b in zip(row0, row1):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                while parent[b] != b:
-                    parent[b] = parent[parent[b]]
-                    b = parent[b]
-                if a != b:
-                    parent[a] = b
-                    comps -= 1
-            total += 1 << comps
+            total += 1 << _merge_sinks(row0, row1, size)[1]
     return total
 
 
@@ -522,7 +528,6 @@ class CanonicalForm:
     body: bytes
 
     def to_outmap(self) -> Outmap:
-        rev = _reverse_table(self.n)
         lines = self.body.decode().splitlines()
         values = tuple(
             sum(1 << pos for pos, ch in enumerate(line) if ch == "1") for line in lines
@@ -553,17 +558,7 @@ def canonical_form(phi: Outmap) -> CanonicalForm:
 
 def count_orbits(outmaps: Iterable[Outmap]) -> int:
     """Number of symmetry classes among outmaps of one dimension <= 4."""
-    seen: set[bytes] = set()
-    dim: int | None = None
-    for phi in outmaps:
-        if dim is None:
-            dim = phi.n
-            if dim > 4:
-                raise ResourceLimitError("orbit counting is capped at n = 4")
-        elif phi.n != dim:
-            raise ValueError("orbit counting needs outmaps of one common dimension")
-        seen.add(canonical_form(phi).body)
-    return len(seen)
+    return len(orbit_representatives(outmaps))
 
 
 def orbit_representatives(outmaps: Iterable[Outmap]) -> list[CanonicalForm]:
@@ -619,18 +614,13 @@ def random_uso(n: int, rng) -> Outmap:
     rows = _sink_rows(values_list, 3).tolist()
     i0 = rng.randrange(len(values_list))
     i1 = rng.randrange(len(values_list))
-    parent = list(range(8))
+    parent, _ = _merge_sinks(rows[i0], rows[i1], 8)
 
     def find(x: int) -> int:
         while parent[x] != x:
-            parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    for a, b in zip(rows[i0], rows[i1]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
     root_bits = {root: rng.getrandbits(1) for root in {find(v) for v in range(8)}}
     pattern = sum(root_bits[find(v)] << v for v in range(8))
     return Outmap(4, tuple(_compose_build(values_list[i0], values_list[i1], 3, pattern)))

@@ -9,15 +9,19 @@ evaluations; a PUSO is an outmap where every proper face's antipodal pair
 succeeds while the whole cube's antipodal pairs all fail.  Every recognizer
 takes an optional PairEvalCounter so callers can audit the evaluation
 budget.
+
+All face scans read one cached schedule, cube.face_schedule: faces ordered
+by dimension, so classify's first failing face has minimal dimension, while
+is_uso_fast and is_puso visit every face and do not depend on the order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from operator import length_hint
 
-from .cube import FaceSpec, Outmap, faces_iter, full_mask
+from .cube import FaceSpec, Outmap, face_schedule, full_mask
 
 
 class Verdict(enum.Enum):
@@ -59,38 +63,6 @@ def pair_eval(phi: Outmap, u: int, v: int, counter: PairEvalCounter | None = Non
     return (phi.values[u] ^ phi.values[v]) & (u ^ v)
 
 
-# Face schedules are cached up to this dimension; beyond it they are
-# regenerated per call (such inputs are far outside desk scale anyway).
-_CACHE_MAX = 10
-
-
-@lru_cache(maxsize=None)
-def _face_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((f.lower, f.upper) for f in faces_iter(n, min_dim=1))
-
-
-def _face_pairs_seq(n: int):
-    """Antipodal pair (lower, upper) of every face with dim >= 1, faces_iter order."""
-    if n <= _CACHE_MAX:
-        return _face_pairs(n)
-    return ((f.lower, f.upper) for f in faces_iter(n, min_dim=1))
-
-
-@lru_cache(maxsize=None)
-def _faces_by_dim(n: int) -> tuple[tuple[int, int, int], ...]:
-    faces = [(f.dim, f.lower, f.upper) for f in faces_iter(n, min_dim=1)]
-    faces.sort(key=lambda t: t[0])  # stable: keeps faces_iter order within a dimension
-    return tuple(faces)
-
-
-def _faces_by_dim_seq(n: int):
-    if n <= _CACHE_MAX:
-        return _faces_by_dim(n)
-    faces = [(f.dim, f.lower, f.upper) for f in faces_iter(n, min_dim=1)]
-    faces.sort(key=lambda t: t[0])
-    return faces
-
-
 def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
     """Consistency check: each edge is outgoing at exactly one endpoint.
 
@@ -127,12 +99,14 @@ def _first_failing_face(phi: Outmap) -> tuple[int, FaceSpec | None]:
     dimension is >= 2, and an inconsistent edge when it is 1.
     """
     values = phi.values
-    used = 0
-    for _, lower, upper in _faces_by_dim_seq(phi.n):
-        used += 1
+    lowers, uppers = face_schedule(phi.n)
+    rest = iter(lowers)
+    for lower, upper in zip(rest, uppers):
         if not (values[lower] ^ values[upper]) & (lower ^ upper):
-            return used, FaceSpec(lower, upper)
-    return used, None
+            # faces consumed so far, read off the tuple iterator instead of
+            # counting in the loop, which would slow the full-length scans
+            return len(lowers) - length_hint(rest), FaceSpec(lower, upper)
+    return len(lowers), None
 
 
 def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:
@@ -180,14 +154,13 @@ def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     input.
     """
     values = phi.values
+    lowers, uppers = face_schedule(phi.n)
     ok = True
-    used = 0
-    for u, v in _face_pairs_seq(phi.n):
-        used += 1
+    for u, v in zip(lowers, uppers):
         if not (values[u] ^ values[v]) & (u ^ v):
             ok = False
     if counter is not None:
-        counter.count += used
+        counter.count += len(lowers)
     return ok
 
 
@@ -200,11 +173,10 @@ def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     values = phi.values
     n = phi.n
     full = full_mask(n)
+    lowers, uppers = face_schedule(n)
     proper_ok = True
     whole_fails = False
-    used = 0
-    for u, v in _face_pairs_seq(n):
-        used += 1
+    for u, v in zip(lowers, uppers):
         hit = (values[u] ^ values[v]) & (u ^ v)
         if not hit:
             if u == 0 and v == full:
@@ -212,7 +184,7 @@ def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
             else:
                 proper_ok = False
     if counter is not None:
-        counter.count += used
+        counter.count += len(lowers)
     return n >= 2 and proper_ok and whole_fails
 
 

@@ -1,0 +1,73 @@
+"""The benchmark in bench/ hooks into private library names; keep them working.
+
+bench/spans.py rebinds layer entry points by name and bench/pipelines.py
+calls several private helpers directly.  This test installs the benchmark's
+tracer and makes those calls in the shapes the benchmark uses, so a refactor
+that renames or reshapes one of them fails here instead of silently
+dropping a benchmark metric.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from uso_kit import classes, enumeration, klee_minty, recognition
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_entry_points_and_call_shapes():
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+
+        nib, rows = enumeration._facet_arrays(3)
+        prev = enumeration._odd_values(3)
+        odd_pairs = enumeration._odd_distance_pairs(3)
+        row_list = rows.tolist()
+        survivors = sum(
+            1
+            for i1, psi1 in enumerate(prev)
+            if enumeration._compose_valid_pattern(
+                prev[0], psi1, 3, row_list[0], row_list[i1], odd_pairs
+            )
+            is not None
+        )
+        assert enumeration._odd_successor_worker((nib, rows, 3, 0, 1)) == 2 * survivors
+
+        uso_rows = enumeration._sink_rows(enumeration._uso_values(2), 2).tolist()
+        assert enumeration._uso_successor_worker((uso_rows, 4, 0, len(uso_rows))) == 744
+
+        table = enumeration.count_table(3, (), 1)
+        assert [(r.uso, r.puso, r.border, r.odd) for r in table.rows] == [
+            (1, 0, 1, 1),
+            (2, 0, 2, 2),
+            (12, 4, 8, 8),
+            (744, 16, 112, 112),
+        ]
+
+        km = klee_minty(4)
+        recognition.classify(km)
+        assert classes.is_odd(km)[0] and not classes.is_border(km)[0]
+
+        names = {span[spans.NAME] for span in tracer.spans}
+        assert {
+            "enumeration.odd_successor",
+            "enumeration.filter",
+            "enumeration.compose",
+            "enumeration.uso_successor",
+            "enumeration.count_table",
+            "recognition.classify",
+            "classes.is_odd",
+            "classes.is_border",
+        } <= names
+    finally:
+        tracer.uninstall()

@@ -8,11 +8,13 @@ from uso_kit import (
     NotAUsoError,
     NotBijectiveError,
     Outmap,
+    PairEvalCounter,
     Parity,
     all_faces_caps,
     complementary_pairs,
     complementary_vertex,
     dual,
+    enumerate_odd,
     enumerate_pusos,
     enumerate_usos,
     face_sinks,
@@ -20,6 +22,7 @@ from uso_kit import (
     is_border,
     is_cap,
     is_odd,
+    klee_minty,
     puso_parity,
 )
 
@@ -63,6 +66,35 @@ def test_odd_witness_is_a_violating_pair(border_3):
     u, v = witness
     assert (u ^ v) & ~(border_3[u] ^ border_3[v]) == 0
     assert (u ^ v).bit_count() % 2 == 0
+
+
+def _scan_reference(phi, odd):
+    """Pair-by-pair containment scan: (ok, witness, pairs evaluated)."""
+    values = phi.values
+    size = 1 << phi.n
+    used = 0
+    for u in range(size):
+        for v in range(u + 1, size):
+            used += 1
+            duv, diff = u ^ v, values[u] ^ values[v]
+            inner, outer = (duv, diff) if odd else (diff, duv)
+            if not inner & ~outer and not inner.bit_count() & 1:
+                return False, (u, v), used
+    return True, None, used
+
+
+def test_containment_scan_matches_pair_by_pair_reference():
+    usos = list(enumerate_usos(3))
+    for phi in list(enumerate_odd(4))[::50]:
+        usos += [phi, dual(phi)]
+    usos += [klee_minty(n) for n in range(9)]
+    for phi in usos:
+        budget = 3**phi.n - 2**phi.n
+        for scan, odd in ((is_odd, True), (is_border, False)):
+            counter = PairEvalCounter()
+            ok, witness = scan(phi, counter)
+            want_ok, want_witness, used = _scan_reference(phi, odd)
+            assert (ok, witness, counter.count) == (want_ok, want_witness, budget + used)
 
 
 def test_border_and_odd_require_usos(twin_peak):

@@ -1,13 +1,18 @@
 """End-to-end command line behavior, including exit codes and formats."""
 
+import importlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from uso_kit import Outmap, emit_uso, is_odd, is_puso, klee_minty, parse_uso
+import uso_kit
+from uso_kit import Outmap, cli, emit_uso, is_odd, is_puso, klee_minty, parse_uso
 from uso_kit.cli import main, read_outmap_stream
 
 from conftest import BORDER_3, EYE, KM_3, TWIN_PEAK
@@ -194,6 +199,33 @@ def test_count_beyond_scope(capsys):
     assert run(capsys, "count", "--max-n", "6")[0] == 3
 
 
+def _no_count_table(*args):
+    raise AssertionError("count_table ran although the job count was malformed")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_count_rejects_bad_jobs(value, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_table", _no_count_table)
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--max-n", "2", "--jobs", value])
+    assert err.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-1"])
+def test_count_rejects_bad_jobs_environment(value, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "count_table", _no_count_table)
+    monkeypatch.setenv("USO_KIT_JOBS", value)
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--max-n", "2"])
+    assert err.value.code == 2
+    assert "USO_KIT_JOBS" in capsys.readouterr().err
+    # only count reads the variable
+    code, out, _ = run(capsys, "gen", "km", "--n", "2")
+    assert code == 0
+    assert parse_uso(out).values == klee_minty(2).values
+
+
 # ---------------------------------------------------------------------------
 # orbits / enumerate / dot
 
@@ -305,22 +337,32 @@ def test_read_outmap_stream_reports_record(capsys):
     assert "record 2" in str(err.value)
 
 
+def _module_run(*argv, **kwargs):
+    """Run the command line in a fresh interpreter on the package imported here."""
+    src = str(Path(uso_kit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-m", "uso_kit", *argv], capture_output=True, text=True, env=env, **kwargs
+    )
+
+
 def test_console_script_round_trip():
-    gen = subprocess.run(
-        ["uso-kit", "gen", "km", "--n", "3"], capture_output=True, text=True
-    )
+    gen = _module_run("gen", "km", "--n", "3")
     assert gen.returncode == 0
-    check = subprocess.run(
-        ["uso-kit", "check", "-", "--expect", "uso"],
-        input=gen.stdout,
-        capture_output=True,
-        text=True,
-    )
+    check = _module_run("check", "-", "--expect", "uso", input=gen.stdout)
     assert check.returncode == 0
     assert "verdict: USO" in check.stdout
 
 
 def test_console_script_version():
-    proc = subprocess.run(["uso-kit", "--version"], capture_output=True, text=True)
+    proc = _module_run("--version")
     assert proc.returncode == 0
     assert "uso-kit" in proc.stdout
+
+
+def test_console_script_target_is_callable():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = re.search(r'^uso-kit = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M)
+    assert target is not None
+    assert callable(getattr(importlib.import_module(target[1]), target[2]))

@@ -37,7 +37,9 @@ from uso_kit import (
     random_uso,
 )
 
-from conftest import BOW, KM_3
+from uso_kit import enumeration
+
+from conftest import BOW, EYE, KM_3
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +169,55 @@ def test_composition_filter_matches_generic_odd_test():
                 if classify(candidate).verdict is Verdict.USO and is_odd(candidate)[0]:
                     composed_valid.add(candidate.values)
     assert composed_valid == {phi.values for phi in enumerate_odd(3)}
+
+
+def test_connect_facets_rejects_conflicting_bows():
+    # Around the 2-face at facet vertices 00, 10, 11, 01 the bow rule forces
+    # an odd number of reversals, so the pattern cannot close up.
+    for seed in (0, 1):
+        assert connect_facets(Outmap(2, BOW), Outmap(2, EYE), seed) is None
+
+
+def _assert_mask_matches_scalar(m, lower_facets):
+    """_valid_upper_mask against the scalar _compose_valid_pattern oracle."""
+    prev = enumeration._odd_values(m)
+    nib, rows = enumeration._facet_arrays(m)
+    row_list = rows.tolist()
+    odd_pairs = enumeration._odd_distance_pairs(m)
+    for i0 in lower_facets:
+        valid, patterns = enumeration._valid_upper_mask(i0, nib, rows, m)
+        for i1, psi1 in enumerate(prev):
+            g = enumeration._compose_valid_pattern(
+                prev[i0], psi1, m, row_list[i0], row_list[i1], odd_pairs
+            )
+            assert bool(valid[i1]) == (g is not None), (i0, i1)
+            if g is not None:
+                assert int(patterns[i1]) == g, (i0, i1)
+
+
+def test_valid_upper_mask_matches_scalar_oracle_m3():
+    _assert_mask_matches_scalar(3, range(112))
+
+
+def test_valid_upper_mask_matches_scalar_oracle_m4():
+    _assert_mask_matches_scalar(4, random.Random(4).sample(range(12928), 3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_odd_lists_match_scalar_composition(n):
+    m = n - 1
+    prev = enumeration._odd_values(m)
+    rows = enumeration._sink_rows(prev, m).tolist()
+    odd_pairs = enumeration._odd_distance_pairs(m)
+    flip_all = (1 << (1 << m)) - 1
+    expected = []
+    for psi0, row0 in zip(prev, rows):
+        for psi1, row1 in zip(prev, rows):
+            g = enumeration._compose_valid_pattern(psi0, psi1, m, row0, row1, odd_pairs)
+            if g is not None:
+                expected.append(tuple(enumeration._compose_build(psi0, psi1, m, g)))
+                expected.append(tuple(enumeration._compose_build(psi0, psi1, m, g ^ flip_all)))
+    assert enumeration._odd_values(n) == tuple(expected)
 
 
 # ---------------------------------------------------------------------------
