@@ -12,8 +12,9 @@ argument accepts "-" for stdin and results go to stdout.  Exit codes:
 * 3  unreadable or malformed input files, or a request beyond the
      supported resource limits
 
-The default job count of the count command comes from USO_KIT_JOBS; a
-value that is not a positive integer there or in --jobs is a usage error.
+The count command shards its orbit representatives over --jobs worker
+processes; the default job count comes from USO_KIT_JOBS, and a value
+that is not a positive integer there or in --jobs is a usage error.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact class counts per dimension")
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--opt-in", help="long-running cells, comma separated: uso4,odd5")
+    p.add_argument("--opt-in", help="opt-in cells, comma separated: uso4,odd5")
     p.add_argument(
         "--jobs",
         type=_positive_int,

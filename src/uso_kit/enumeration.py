@@ -25,13 +25,22 @@ outmap, which the test suite also asserts.
 Counting uses the same composition idea without materializing outmaps:
 USO counts sum 2**(components of the sink-agreement graph) over ordered
 facet pairs, found by one union-find (_merge_sinks) that random_uso also
-uses.  All streams and tables are deterministic: facet pairs are visited
-in enumeration order and workers only ever shard contiguous index ranges
-that are recombined in order, so results are identical for any job count.
+uses; odd counts sum the pair filter's survivors.  A cube symmetry that
+fixes the new coordinate acts on both facets at once, so a lower facet's
+total over all upper facets is constant on its symmetry orbit: each orbit
+of the facet list is evaluated once, at its first member, and weighted by
+its size (19 orbits of 3-USOs, 35 of odd 4-USOs).  All streams and tables
+are deterministic: facet pairs are visited in enumeration order and
+workers only ever shard contiguous blocks of orbit representatives, so
+results are identical for any job count.
 
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
 2**n * n! cube symmetries); the canonical form of an outmap is the
-lexicographically smallest .uso body over the orbit.
+lexicographically smallest .uso body over the orbit.  One batch numpy
+canonicalizer (_canonical_keys) relabels a block of outmaps under every
+symmetry at once by table gathers, packs each relabeled body into uint64
+words that compare like the bodies, and keeps the minimum; canonical
+forms, orbit representatives and the counting orbits all use it.
 """
 
 from __future__ import annotations
@@ -385,15 +394,34 @@ def _uso_successor_worker(args) -> int:
     return total
 
 
-def _sharded_sum(worker, make_args, count: int, jobs: int) -> int:
-    """Run a range worker over [0, count) in deterministic contiguous shards."""
-    if jobs <= 1 or count == 0:
-        return worker(make_args(0, count))
-    jobs = min(jobs, count)
-    bounds = [count * k // jobs for k in range(jobs + 1)]
-    tasks = [make_args(bounds[k], bounds[k + 1]) for k in range(jobs)]
+def _weighted_block(task) -> int:
+    worker, items = task
+    return sum(weight * worker(args) for weight, args in items)
+
+
+def _sharded_sum(worker, items: list, jobs: int) -> int:
+    """Sum weight * worker(args) over (weight, args) items in deterministic contiguous shards."""
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        return _weighted_block((worker, items))
+    bounds = [len(items) * k // jobs for k in range(jobs + 1)]
+    tasks = [(worker, items[bounds[k] : bounds[k + 1]]) for k in range(jobs)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(worker, tasks))
+        return sum(pool.map(_weighted_block, tasks))
+
+
+def _orbit_weighted_sum(worker, make_args, vals: np.ndarray, m: int, jobs: int) -> int:
+    """Sum a lower-facet range worker over all facets, one call per symmetry orbit.
+
+    A cube symmetry that fixes the new coordinate acts on both facets at
+    once and permutes the facet list, so a lower facet's total over all
+    upper facets is the same for every facet in its orbit.  Each orbit's
+    first facet is evaluated alone and weighted by the orbit size.
+    """
+    keys = _canonical_keys(vals, m)
+    _, firsts, sizes = np.unique(keys, axis=0, return_index=True, return_counts=True)
+    items = [(int(size), make_args(int(i), int(i) + 1)) for i, size in zip(firsts, sizes)]
+    return _sharded_sum(worker, items, jobs)
 
 
 def count_uso_successor(m: int, jobs: int = 1) -> int:
@@ -402,24 +430,34 @@ def count_uso_successor(m: int, jobs: int = 1) -> int:
     Every (m+1)-USO splits uniquely into two facet USOs plus connecting
     edges; a connecting pattern works iff for every facet face the two
     sinks' connecting edges agree, so each ordered pair contributes
-    2**(components of that agreement graph).
+    2**(components of that agreement graph).  Lower facets are taken one
+    per symmetry orbit (19 for m = 3), weighted by the orbit size.
     """
     if not 0 <= m <= 3:
         raise ResourceLimitError("USO successor counting needs the full list of dimension <= 3")
-    rows = _sink_rows(_uso_values(m), m).tolist()
+    values = _uso_values(m)
+    rows = _sink_rows(values, m).tolist()
     size = 1 << m
-    return _sharded_sum(
-        _uso_successor_worker, lambda lo, hi: (rows, size, lo, hi), len(rows), jobs
+    return _orbit_weighted_sum(
+        _uso_successor_worker,
+        lambda lo, hi: (rows, size, lo, hi),
+        np.asarray(values, dtype=np.uint8),
+        m,
+        jobs,
     )
 
 
 def count_odd_successor(m: int, jobs: int = 1) -> int:
-    """Count odd USOs of dimension m + 1 by the vectorized pair filter."""
+    """Count odd USOs of dimension m + 1 by the vectorized pair filter.
+
+    Lower facets are taken one per symmetry orbit (35 for m = 4), weighted
+    by the orbit size.
+    """
     if not 0 <= m <= 4:
         raise ResourceLimitError("odd successor counting needs the full list of dimension <= 4")
     nib, rows = _facet_arrays(m)
-    return _sharded_sum(
-        _odd_successor_worker, lambda lo, hi: (nib, rows, m, lo, hi), nib.shape[0], jobs
+    return _orbit_weighted_sum(
+        _odd_successor_worker, lambda lo, hi: (nib, rows, m, lo, hi), nib, m, jobs
     )
 
 
@@ -450,10 +488,11 @@ OPT_IN_TARGETS = frozenset({"uso4", "odd5"})
 def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> CountTable:
     """Exact class counts per dimension up to max_n (<= 5).
 
-    uso(4) and odd(5) are long-running opt-ins ("uso4", "odd5"); cells not
-    covered by the current scope are None.  uso(5) is out of scope, while
-    puso(n) = 2 * odd(n - 1) for n >= 2 is always filled when odd(n - 1)
-    is, and is cross-verified against direct PUSO filtering for n <= 3.
+    uso(4) and odd(5) are opt-ins ("uso4", "odd5"), orbit-weighted sums
+    that take about 0.1 s and 1 s; cells not covered by the current scope
+    are None.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
+    n >= 2 is always filled when odd(n - 1) is, and is cross-verified
+    against direct PUSO filtering for n <= 3.
     """
     opts = frozenset(opt_in)
     unknown = opts - OPT_IN_TARGETS
@@ -520,6 +559,74 @@ def _reverse_table(n: int) -> tuple[int, ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables of all 2**n * n! relabelings V -> sigma(V) XOR R.
+
+    keyed[x, p] is rev[sigma_p(x)], a value keyed so that numeric order
+    matches .uso line order.  source[g, q] says where position q of the
+    body relabeled by symmetry g = (sigma_p, R) reads from: vertex
+    sigma_p^-1(q XOR R) under permutation p, as a flat index into the
+    (2**n, n!) array keyed[values].
+    """
+    tables = np.array(_mask_perm_tables(n), dtype=np.intp)
+    perms, size = tables.shape
+    keyed = np.array(_reverse_table(n), dtype=np.uint8)[tables.T]
+    inverse = np.argsort(tables, axis=1)
+    offsets = np.arange(size)
+    source = inverse[:, offsets[:, None] ^ offsets[None, :]] * perms
+    source += np.arange(perms)[:, None, None]
+    return keyed, source.reshape(perms * size, size)
+
+
+def _key_layout(n: int) -> tuple[int, int]:
+    """Bits per body position and positions per uint64 key word.
+
+    n <= 4 packs 16 positions x 4 bits into one word; n = 5 packs 12 + 12 + 8
+    positions x 5 bits into three.  Position 0 is most significant, so keys
+    compare like the bodies they pack.
+    """
+    bits = 4 if n <= 4 else 5
+    return bits, 64 // bits
+
+
+_GATHER_BYTES = 1 << 20  # bound on each batch temporary, to keep peak memory flat
+_ORBIT_BATCH = 1024  # outmaps buffered per _canonical_keys call in orbit_representatives
+
+
+def _canonical_keys(vals: np.ndarray, n: int) -> np.ndarray:
+    """Packed minimal body over the symmetry orbit of every row of vals.
+
+    vals is a (k, 2**n) array of outmap values; the result is (k, words)
+    uint64, rows ordered like the canonical bodies they encode.  Rows are
+    relabeled in chunks so no (chunk, group, 2**n) temporary exceeds about
+    _GATHER_BYTES.
+    """
+    keyed, source = _symmetry_gather(n)
+    bits, per_word = _key_layout(n)
+    size = 1 << n
+    out = np.empty((len(vals), -(-size // per_word)), dtype=np.uint64)
+    # per row: the uint8 bodies take group * size bytes, each key word group * 8
+    step = max(1, _GATHER_BYTES // (len(source) * max(size, 8)))
+    for lo in range(0, len(vals), step):
+        block = vals[lo : lo + step]
+        bodies = keyed[block].reshape(len(block), -1)[:, source]
+        words = []
+        for start in range(0, size, per_word):
+            word = np.zeros(bodies.shape[:2], dtype=np.uint64)
+            for q in range(start, min(start + per_word, size)):
+                word <<= bits
+                word |= bodies[:, :, q]
+            words.append(word)
+        if len(words) == 1:
+            out[lo : lo + len(block), 0] = words[0].min(axis=1)
+        else:
+            best = np.lexsort(words[::-1], axis=-1)[:, 0]
+            picked = np.arange(len(block))
+            out[lo : lo + len(block)] = np.stack([word[picked, best] for word in words], axis=1)
+    return out
+
+
 @dataclass(frozen=True)
 class CanonicalForm:
     """Lexicographically minimal .uso body over an outmap's symmetry orbit."""
@@ -535,25 +642,25 @@ class CanonicalForm:
         return Outmap(self.n, values)
 
 
+def _form_from_key(key, n: int) -> CanonicalForm:
+    """Unpack one row of _canonical_keys into its .uso body."""
+    bits, per_word = _key_layout(n)
+    rev = _reverse_table(n)
+    size = 1 << n
+    lines = []
+    for w, word in enumerate(key):
+        count = min(per_word, size - w * per_word)
+        for j in range(count - 1, -1, -1):
+            lines.append(value_line(rev[int(word) >> (j * bits) & (1 << bits) - 1], n))
+    return CanonicalForm(n, ("\n".join(lines) + "\n").encode())
+
+
 def canonical_form(phi: Outmap) -> CanonicalForm:
     """Minimal .uso body over all vertex relabelings V -> sigma(V) XOR R (n <= 5)."""
     if phi.n > 5:
         raise ResourceLimitError("canonicalization is capped at n = 5")
-    n = phi.n
-    size = 1 << n
-    rev = _reverse_table(n)
-    best: bytes | None = None
-    for table in _mask_perm_tables(n):
-        keyed = [rev[table[value]] for value in phi.values]
-        for r in range(size):
-            cand = bytearray(size)
-            for v in range(size):
-                cand[table[v] ^ r] = keyed[v]
-            packed = bytes(cand)
-            if best is None or packed < best:
-                best = packed
-    body = "\n".join(value_line(rev[key], n) for key in best) + "\n"
-    return CanonicalForm(n, body.encode())
+    key = _canonical_keys(np.array([phi.values], dtype=np.uint8), phi.n)[0]
+    return _form_from_key(key, phi.n)
 
 
 def count_orbits(outmaps: Iterable[Outmap]) -> int:
@@ -562,9 +669,18 @@ def count_orbits(outmaps: Iterable[Outmap]) -> int:
 
 
 def orbit_representatives(outmaps: Iterable[Outmap]) -> list[CanonicalForm]:
-    """Sorted canonical representative of every orbit present in the input."""
-    forms: dict[bytes, CanonicalForm] = {}
+    """Sorted canonical representative of every orbit present in the input.
+
+    The input is canonicalized in batches, so a stream is never held whole.
+    """
+    keys: set[tuple[int, ...]] = set()
+    batch: list[tuple[int, ...]] = []
     dim: int | None = None
+
+    def reduce_batch() -> None:
+        keys.update(map(tuple, _canonical_keys(np.array(batch, dtype=np.uint8), dim).tolist()))
+        batch.clear()
+
     for phi in outmaps:
         if dim is None:
             dim = phi.n
@@ -572,9 +688,12 @@ def orbit_representatives(outmaps: Iterable[Outmap]) -> list[CanonicalForm]:
                 raise ResourceLimitError("orbit counting is capped at n = 4")
         elif phi.n != dim:
             raise ValueError("orbit counting needs outmaps of one common dimension")
-        form = canonical_form(phi)
-        forms.setdefault(form.body, form)
-    return [forms[body] for body in sorted(forms)]
+        batch.append(phi.values)
+        if len(batch) == _ORBIT_BATCH:
+            reduce_batch()
+    if batch:
+        reduce_batch()
+    return [_form_from_key(key, dim) for key in sorted(keys)]
 
 
 # ---------------------------------------------------------------------------

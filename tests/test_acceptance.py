@@ -1,8 +1,8 @@
 """Top-level acceptance checks, one test per criterion.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one [PASS]/[FAIL]
-line per criterion.  Criterion 8 covers the long-running exact counts and
-only runs when USO_KIT_OPT_IN lists its targets, e.g.
+line per criterion.  Criterion 8 has a long-running full-range oracle for
+the exact counts that only runs when USO_KIT_OPT_IN lists its targets, e.g.
 
     USO_KIT_OPT_IN=uso4,odd5 pytest tests/test_acceptance.py -v -s
 
@@ -47,6 +47,8 @@ from uso_kit import (
     puso_parity,
     PairEvalCounter,
 )
+from uso_kit import enumeration
+from uso_kit.cli import _positive_int
 
 from test_constructions import random_cycle
 
@@ -198,18 +200,29 @@ def test_criterion_8_derived_five_dimensional_puso():
     assert table.rows[5].uso is None and table.rows[5].odd is None
 
 
+@criterion(8, "exact counts uso(4) = 5541744 and odd(5) = border(5) = 44075264")
+def test_criterion_8_exact_counts():
+    table = count_table(5, opt_in=("uso4", "odd5"))
+    assert table.rows[4].uso == 5_541_744
+    assert table.rows[5].odd == 44_075_264
+    # border(n) = odd(n): duality is a count-preserving bijection
+    assert table.rows[5].border == 44_075_264
+    assert table.rows[5].puso == 25_856
+    assert table.rows[5].uso is None
+
+
 def _opted_in() -> set[str]:
     return {part for part in os.environ.get("USO_KIT_OPT_IN", "").split(",") if part}
 
 
 @pytest.mark.skipif(
     not _opted_in() & {"uso4", "odd5"},
-    reason="long-running exact counts; set USO_KIT_OPT_IN=uso4,odd5",
+    reason="long-running full-range oracle of the exact counts; set USO_KIT_OPT_IN=uso4,odd5",
 )
-@criterion(8, "opt-in exact counts uso(4) and odd(5) (long-running)")
+@criterion(8, "full-range oracle of the exact counts uso(4) and odd(5) (long-running)")
 def test_criterion_8_opt_in_exact_counts():
     targets = _opted_in()
-    jobs = max(1, int(os.environ.get("USO_KIT_JOBS", "1")))
+    jobs = _positive_int(os.environ.get("USO_KIT_JOBS", "1"))
     if "uso4" in targets:
         assert count_uso_successor(3, jobs=jobs) == 5_541_744
     if "odd5" in targets:
@@ -218,6 +231,12 @@ def test_criterion_8_opt_in_exact_counts():
         # border(n) = odd(n): duality is a count-preserving bijection
         assert table.rows[5].border == 44_075_264
         assert table.rows[5].puso == 25_856
+        # the full unweighted sum over all 12928 lower facets, in `jobs` ranges
+        nib, rows = enumeration._facet_arrays(4)
+        bounds = [len(nib) * k // jobs for k in range(jobs + 1)]
+        ranges = [(1, (nib, rows, 4, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+        full = enumeration._sharded_sum(enumeration._odd_successor_worker, ranges, jobs)
+        assert full == 44_075_264
 
 
 @criterion(9, "property suites pass standalone with zero violations")

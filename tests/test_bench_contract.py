@@ -54,9 +54,21 @@ def test_benchmark_entry_points_and_call_shapes():
             (744, 16, 112, 112),
         ]
 
+        # uso(4) runs the worker once per orbit of lower facets: 19 x 744 pairs
+        start = len(tracer.spans)
+        assert enumeration.count_table(4, ("uso4",), 1).rows[4].uso == 5_541_744
+        pairs = [
+            span[spans.ATTRS]["pairs"]
+            for span in tracer.spans[start:]
+            if span[spans.NAME] == "enumeration.uso_successor"
+        ]
+        assert len(pairs) == 19 and sum(pairs) == 19 * 744
+
         km = klee_minty(4)
         recognition.classify(km)
         assert classes.is_odd(km)[0] and not classes.is_border(km)[0]
+        canonical = enumeration.canonical_form(km).to_outmap()
+        assert len(enumeration.orbit_representatives([km, canonical])) == 1
 
         names = {span[spans.NAME] for span in tracer.spans}
         assert {
@@ -65,6 +77,8 @@ def test_benchmark_entry_points_and_call_shapes():
             "enumeration.compose",
             "enumeration.uso_successor",
             "enumeration.count_table",
+            "enumeration.canonical_form",
+            "enumeration.orbit_reps",
             "recognition.classify",
             "classes.is_odd",
             "classes.is_border",

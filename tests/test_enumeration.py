@@ -17,12 +17,14 @@ from uso_kit import (
     count_orbits,
     count_table,
     count_uso_successor,
+    dual,
     enumerate_class,
     enumerate_odd,
     enumerate_orientations,
     enumerate_outmap_functions,
     enumerate_pusos,
     enumerate_usos,
+    extend_border,
     flip,
     is_border,
     is_odd,
@@ -35,6 +37,7 @@ from uso_kit import (
     random_outmap,
     random_puso,
     random_uso,
+    value_line,
 )
 
 from uso_kit import enumeration
@@ -237,11 +240,47 @@ def test_successor_counts_match_direct_enumeration():
 def test_uso_four_dimensional_count():
     """The first value beyond direct enumeration, from facet-pair composition."""
     assert count_uso_successor(3) == 5_541_744
+    # the orbit-weighted sum against the full unweighted sum over all 744 x 744 pairs
+    rows = enumeration._sink_rows(enumeration._uso_values(3), 3).tolist()
+    assert enumeration._uso_successor_worker((rows, 8, 0, 744)) == 5_541_744
+
+
+def test_odd_successor_count_matches_full_range_sum():
+    nib, rows = enumeration._facet_arrays(3)
+    assert count_odd_successor(3) == enumeration._odd_successor_worker((nib, rows, 3, 0, 112))
+
+
+def test_odd_five_dimensional_count():
+    assert count_odd_successor(4) == 44_075_264
+
+
+@pytest.mark.parametrize("kind, m, orbits", [("uso", 2, 2), ("uso", 3, 19), ("odd", 3, 3)])
+def test_lower_facet_totals_are_constant_on_orbits(kind, m, orbits):
+    """What orbit weighting rests on, with orbits found by the scalar canonicalizer."""
+    if kind == "uso":
+        values = enumeration._uso_values(m)
+        rows = enumeration._sink_rows(values, m).tolist()
+        totals = [
+            enumeration._uso_successor_worker((rows, 1 << m, i, i + 1)) for i in range(len(values))
+        ]
+    else:
+        values = enumeration._odd_values(m)
+        nib, rows = enumeration._facet_arrays(m)
+        totals = [
+            enumeration._odd_successor_worker((nib, rows, m, i, i + 1)) for i in range(len(values))
+        ]
+    by_orbit: dict[bytes, set[int]] = {}
+    for facet, total in zip(values, totals):
+        by_orbit.setdefault(_scalar_canonical_body(Outmap(m, facet)), set()).add(total)
+    assert len(by_orbit) == orbits
+    assert all(len(found) == 1 for found in by_orbit.values())
 
 
 def test_sharded_counts_are_deterministic():
-    assert count_uso_successor(2, jobs=3) == 744
-    assert count_odd_successor(3, jobs=2) == 12928
+    for jobs in (1, 2, 3):
+        assert count_uso_successor(2, jobs=jobs) == 744
+        assert count_uso_successor(3, jobs=jobs) == 5_541_744
+        assert count_odd_successor(3, jobs=jobs) == 12928
 
 
 def test_successor_limits():
@@ -282,6 +321,67 @@ def test_count_table_validates_arguments():
 # canonical forms and orbits
 
 
+def _scalar_canonical_body(phi: Outmap) -> bytes:
+    """Reference canonicalizer: every relabeled byte body, minimized one by one."""
+    n = phi.n
+    size = 1 << n
+    rev = enumeration._reverse_table(n)
+    best: bytes | None = None
+    for table in enumeration._mask_perm_tables(n):
+        keyed = [rev[table[value]] for value in phi.values]
+        for r in range(size):
+            cand = bytearray(size)
+            for v in range(size):
+                cand[table[v] ^ r] = keyed[v]
+            packed = bytes(cand)
+            if best is None or packed < best:
+                best = packed
+    body = "\n".join(value_line(rev[key], n) for key in best) + "\n"
+    return body.encode()
+
+
+@pytest.fixture(scope="module")
+def canonical_samples():
+    """Outmaps of several classes and dimensions with their reference bodies."""
+    rng = random.Random(0xCA11)
+    samples = {
+        "orientations(2)": list(enumerate_orientations(2)),
+        "uso(3)": list(enumerate_usos(3)),
+        "puso(3)": list(enumerate_pusos(3)),
+        "odd(4)[::25]": list(enumerate_odd(4))[::25],
+        "puso(4)": [extend_border(dual(phi), bit) for phi in enumerate_odd(3) for bit in (0, 1)],
+        "random_puso(5)": [random_puso(5, rng) for _ in range(30)],
+    }
+    return {
+        name: [(phi, _scalar_canonical_body(phi)) for phi in outmaps]
+        for name, outmaps in samples.items()
+    }
+
+
+def test_canonical_form_matches_scalar_oracle(canonical_samples):
+    assert len(canonical_samples["puso(4)"]) == 224
+    for name, pairs in canonical_samples.items():
+        for phi, body in pairs:
+            assert canonical_form(phi).body == body, (name, phi.values)
+
+
+def test_orbit_representatives_match_scalar_oracle(canonical_samples):
+    for name, pairs in canonical_samples.items():
+        if pairs[0][0].n > 4:
+            continue
+        reps = orbit_representatives(phi for phi, _ in pairs)
+        assert [rep.body for rep in reps] == sorted({body for _, body in pairs}), name
+
+
+def test_orbit_representatives_across_batches():
+    """All of odd(4) spans several canonicalization batches and has 35 orbits."""
+    reps = orbit_representatives(enumerate_odd(4))
+    assert len(reps) == 35
+    assert [rep.body for rep in reps] == sorted(rep.body for rep in reps)
+    for rep in reps:
+        assert _scalar_canonical_body(rep.to_outmap()) == rep.body
+
+
 def test_canonical_form_fixed_point():
     form = canonical_form(klee_minty(3))
     again = canonical_form(form.to_outmap())
@@ -293,11 +393,11 @@ def test_canonical_form_invariant_under_relabelings():
     base = klee_minty(3)
     target = canonical_form(base)
     for _ in range(25):
-        relabeled = _random_relabeling(base, rng)
+        relabeled = random_relabeling(base, rng)
         assert canonical_form(relabeled) == target
 
 
-def _random_relabeling(phi: Outmap, rng) -> Outmap:
+def random_relabeling(phi: Outmap, rng) -> Outmap:
     n = phi.n
     perm = list(range(n))
     rng.shuffle(perm)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from uso_kit import (
     Outmap,
+    canonical_form,
     dual,
     complement_vertex,
     enumerate_odd,
@@ -26,9 +27,12 @@ from uso_kit import (
     is_uso_fast,
     klee_minty,
     random_odd,
+    random_outmap,
     random_puso,
     random_uso,
 )
+
+from test_enumeration import random_relabeling
 
 FLIPS_PER_DIMENSION = 200
 
@@ -115,6 +119,14 @@ def test_decreasing_path_xor_homomorphism(n):
         u = rng.randrange(1 << n)
         v = rng.randrange(1 << n)
         assert km[u] ^ km[v] == km[u ^ v]
+
+
+@given(st.integers(0, 5), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_canonical_form_is_invariant_under_symmetries(n, rng):
+    """A random cube symmetry V -> sigma(V) XOR R leaves the canonical form fixed."""
+    phi = random_puso(n, rng) if n >= 2 and rng.random() < 0.5 else random_outmap(n, rng)
+    assert canonical_form(random_relabeling(phi, rng)) == canonical_form(phi)
 
 
 def test_complementation_order_independence():
