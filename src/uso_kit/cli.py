@@ -11,17 +11,12 @@ argument accepts "-" for stdin and results go to stdout.  Exit codes:
 * 2  usage errors: unknown flags, malformed option values
 * 3  unreadable or malformed input files, or a request beyond the
      supported resource limits
-
-The count command shards its orbit representatives over --jobs worker
-processes; the default job count comes from USO_KIT_JOBS, and a value
-that is not a positive integer there or in --jobs is a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +32,7 @@ from .constructions import (
     klee_minty,
     odd_family,
 )
-from .cube import Outmap, emit_uso, face_sinks, mask_from_coords, parse_uso, value_line
+from .cube import MAX_DIM, Outmap, emit_uso, face_sinks, mask_from_coords, parse_uso, value_line
 from .enumeration import (
     count_table,
     enumerate_class,
@@ -83,8 +78,8 @@ def read_outmap_stream(text: str) -> list[Outmap]:
             raise FormatError(
                 f"record {len(outmaps) + 1}: expected a dimension line, got {lines[pos]!r}"
             ) from None
-        if n < 0:
-            raise FormatError(f"record {len(outmaps) + 1}: negative dimension")
+        if not 0 <= n <= MAX_DIM:
+            raise FormatError(f"record {len(outmaps) + 1}: dimension {n} outside 0..{MAX_DIM}")
         chunk = lines[pos : pos + 1 + (1 << n)]
         try:
             outmaps.append(parse_uso("\n".join(chunk) + "\n"))
@@ -198,7 +193,7 @@ def _cmd_gen_flip(args) -> int:
 
 def _cmd_count(args) -> int:
     opts = tuple(part for part in (args.opt_in or "").split(",") if part)
-    table = count_table(args.max_n, opts, args.jobs)
+    table = count_table(args.max_n, opts)
 
     def cell(value):
         return None if value is None else str(value)
@@ -239,6 +234,8 @@ def _cmd_orbits(args) -> int:
     if args.cls is not None:
         if args.n is None:
             raise ValueError("--class needs --n")
+        if args.files:
+            raise ValueError("--class takes no input files")
         outmaps = enumerate_class(args.cls, args.n)
     elif args.files:
         outmaps = [
@@ -306,19 +303,6 @@ def _cmd_dot(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _positive_int(text: str) -> int:
-    """argparse type of --jobs, also applied to its USO_KIT_JOBS default."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer (from --jobs or USO_KIT_JOBS), got {text!r}"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,12 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="exact class counts per dimension")
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--opt-in", help="opt-in cells, comma separated: uso4,odd5")
-    p.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=os.environ.get("USO_KIT_JOBS", "1"),
-        help="worker processes (default: USO_KIT_JOBS, else 1)",
-    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_count)
 

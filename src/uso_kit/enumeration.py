@@ -29,10 +29,9 @@ uses; odd counts sum the pair filter's survivors.  A cube symmetry that
 fixes the new coordinate acts on both facets at once, so a lower facet's
 total over all upper facets is constant on its symmetry orbit: each orbit
 of the facet list is evaluated once, at its first member, and weighted by
-its size (19 orbits of 3-USOs, 35 of odd 4-USOs).  All streams and tables
-are deterministic: facet pairs are visited in enumeration order and
-workers only ever shard contiguous blocks of orbit representatives, so
-results are identical for any job count.
+its size (19 orbits of 3-USOs, 35 of odd 4-USOs), in one process.  All
+streams and tables are deterministic: facet pairs are visited in
+enumeration order.
 
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
 2**n * n! cube symmetries); the canonical form of an outmap is the
@@ -46,7 +45,6 @@ forms, orbit representatives and the counting orbits all use it.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -394,23 +392,7 @@ def _uso_successor_worker(args) -> int:
     return total
 
 
-def _weighted_block(task) -> int:
-    worker, items = task
-    return sum(weight * worker(args) for weight, args in items)
-
-
-def _sharded_sum(worker, items: list, jobs: int) -> int:
-    """Sum weight * worker(args) over (weight, args) items in deterministic contiguous shards."""
-    jobs = min(jobs, len(items))
-    if jobs <= 1:
-        return _weighted_block((worker, items))
-    bounds = [len(items) * k // jobs for k in range(jobs + 1)]
-    tasks = [(worker, items[bounds[k] : bounds[k + 1]]) for k in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return sum(pool.map(_weighted_block, tasks))
-
-
-def _orbit_weighted_sum(worker, make_args, vals: np.ndarray, m: int, jobs: int) -> int:
+def _orbit_weighted_sum(worker, make_args, vals: np.ndarray, m: int) -> int:
     """Sum a lower-facet range worker over all facets, one call per symmetry orbit.
 
     A cube symmetry that fixes the new coordinate acts on both facets at
@@ -420,11 +402,10 @@ def _orbit_weighted_sum(worker, make_args, vals: np.ndarray, m: int, jobs: int) 
     """
     keys = _canonical_keys(vals, m)
     _, firsts, sizes = np.unique(keys, axis=0, return_index=True, return_counts=True)
-    items = [(int(size), make_args(int(i), int(i) + 1)) for i, size in zip(firsts, sizes)]
-    return _sharded_sum(worker, items, jobs)
+    return sum(int(size) * worker(make_args(int(i), int(i) + 1)) for i, size in zip(firsts, sizes))
 
 
-def count_uso_successor(m: int, jobs: int = 1) -> int:
+def count_uso_successor(m: int) -> int:
     """Count USOs of dimension m + 1 from the full dimension-m USO list.
 
     Every (m+1)-USO splits uniquely into two facet USOs plus connecting
@@ -443,11 +424,10 @@ def count_uso_successor(m: int, jobs: int = 1) -> int:
         lambda lo, hi: (rows, size, lo, hi),
         np.asarray(values, dtype=np.uint8),
         m,
-        jobs,
     )
 
 
-def count_odd_successor(m: int, jobs: int = 1) -> int:
+def count_odd_successor(m: int) -> int:
     """Count odd USOs of dimension m + 1 by the vectorized pair filter.
 
     Lower facets are taken one per symmetry orbit (35 for m = 4), weighted
@@ -456,9 +436,7 @@ def count_odd_successor(m: int, jobs: int = 1) -> int:
     if not 0 <= m <= 4:
         raise ResourceLimitError("odd successor counting needs the full list of dimension <= 4")
     nib, rows = _facet_arrays(m)
-    return _orbit_weighted_sum(
-        _odd_successor_worker, lambda lo, hi: (nib, rows, m, lo, hi), nib, m, jobs
-    )
+    return _orbit_weighted_sum(_odd_successor_worker, lambda lo, hi: (nib, rows, m, lo, hi), nib, m)
 
 
 @dataclass(frozen=True)
@@ -493,7 +471,13 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     are None.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
     n >= 2 is always filled when odd(n - 1) is, and is cross-verified
     against direct PUSO filtering for n <= 3.
+
+    Counting runs in one process.  jobs is kept only for the
+    count_table(max_n, opt_in, 1) call shape of the benchmark and must
+    be 1.
     """
+    if jobs != 1:
+        raise ValueError(f"count_table runs in one process; jobs must be 1, got {jobs!r}")
     opts = frozenset(opt_in)
     unknown = opts - OPT_IN_TARGETS
     if unknown:
@@ -504,12 +488,12 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     for n in range(0, min(max_n, 4) + 1):
         odd[n] = len(_odd_values(n))
     if max_n == 5:
-        odd[5] = count_odd_successor(4, jobs) if "odd5" in opts else None
+        odd[5] = count_odd_successor(4) if "odd5" in opts else None
     uso: dict[int, int | None] = {}
     for n in range(0, min(max_n, 3) + 1):
         uso[n] = len(_uso_values(n))
     if max_n >= 4:
-        uso[4] = count_uso_successor(3, jobs) if "uso4" in opts else None
+        uso[4] = count_uso_successor(3) if "uso4" in opts else None
     if max_n >= 5:
         uso[5] = None
     puso: dict[int, int | None] = {}

@@ -6,7 +6,9 @@ the exact counts that only runs when USO_KIT_OPT_IN lists its targets, e.g.
 
     USO_KIT_OPT_IN=uso4,odd5 pytest tests/test_acceptance.py -v -s
 
-Everything else finishes in well under a minute.
+Its odd5 part sums the filter over all 12928 lower facets in one process
+and takes about 4 minutes.  Everything else finishes in well under a
+minute.
 """
 
 import functools
@@ -48,7 +50,6 @@ from uso_kit import (
     PairEvalCounter,
 )
 from uso_kit import enumeration
-from uso_kit.cli import _positive_int
 
 from test_constructions import random_cycle
 
@@ -217,25 +218,23 @@ def _opted_in() -> set[str]:
 
 @pytest.mark.skipif(
     not _opted_in() & {"uso4", "odd5"},
-    reason="long-running full-range oracle of the exact counts; set USO_KIT_OPT_IN=uso4,odd5",
+    reason="long-running full-range oracle of the exact counts (odd5 takes about 4 minutes "
+    "in one process); set USO_KIT_OPT_IN=uso4,odd5",
 )
 @criterion(8, "full-range oracle of the exact counts uso(4) and odd(5) (long-running)")
 def test_criterion_8_opt_in_exact_counts():
     targets = _opted_in()
-    jobs = _positive_int(os.environ.get("USO_KIT_JOBS", "1"))
     if "uso4" in targets:
-        assert count_uso_successor(3, jobs=jobs) == 5_541_744
+        assert count_uso_successor(3) == 5_541_744
     if "odd5" in targets:
-        table = count_table(5, opt_in=("odd5",), jobs=jobs)
+        table = count_table(5, opt_in=("odd5",))
         assert table.rows[5].odd == 44_075_264
         # border(n) = odd(n): duality is a count-preserving bijection
         assert table.rows[5].border == 44_075_264
         assert table.rows[5].puso == 25_856
-        # the full unweighted sum over all 12928 lower facets, in `jobs` ranges
+        # the full unweighted sum over all 12928 lower facets
         nib, rows = enumeration._facet_arrays(4)
-        bounds = [len(nib) * k // jobs for k in range(jobs + 1)]
-        ranges = [(1, (nib, rows, 4, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-        full = enumeration._sharded_sum(enumeration._odd_successor_worker, ranges, jobs)
+        full = enumeration._odd_successor_worker((nib, rows, 4, 0, len(nib)))
         assert full == 44_075_264
 
 

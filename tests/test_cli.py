@@ -7,12 +7,22 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import uso_kit
-from uso_kit import Outmap, cli, emit_uso, is_odd, is_puso, klee_minty, parse_uso
+from uso_kit import (
+    FormatError,
+    Outmap,
+    count_table,
+    emit_uso,
+    is_odd,
+    is_puso,
+    klee_minty,
+    parse_uso,
+)
 from uso_kit.cli import main, read_outmap_stream
 
 from conftest import BORDER_3, EYE, KM_3, TWIN_PEAK
@@ -199,31 +209,17 @@ def test_count_beyond_scope(capsys):
     assert run(capsys, "count", "--max-n", "6")[0] == 3
 
 
-def _no_count_table(*args):
-    raise AssertionError("count_table ran although the job count was malformed")
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_count_rejects_bad_jobs(value, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count_table", _no_count_table)
+def test_count_has_no_job_count(capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
-        main(["count", "--max-n", "2", "--jobs", value])
+        main(["count", "--max-n", "2", "--jobs", "2"])
     assert err.value.code == 2
     assert "--jobs" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-1"])
-def test_count_rejects_bad_jobs_environment(value, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count_table", _no_count_table)
-    monkeypatch.setenv("USO_KIT_JOBS", value)
-    with pytest.raises(SystemExit) as err:
-        main(["count", "--max-n", "2"])
-    assert err.value.code == 2
-    assert "USO_KIT_JOBS" in capsys.readouterr().err
-    # only count reads the variable
-    code, out, _ = run(capsys, "gen", "km", "--n", "2")
+    code, plain, _ = run(capsys, "count", "--max-n", "2")
     assert code == 0
-    assert parse_uso(out).values == klee_minty(2).values
+    monkeypatch.setenv("USO_KIT_JOBS", "abc")
+    assert run(capsys, "count", "--max-n", "2") == (0, plain, "")
+    with pytest.raises(ValueError):
+        count_table(3, (), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +255,13 @@ def test_orbits_from_files(tmp_path, capsys):
 
 def test_orbits_requires_input(capsys):
     assert run(capsys, "orbits")[0] == 2
+
+
+def test_orbits_class_refuses_files(capsys):
+    code, out, err = run(capsys, "orbits", "/no/such/file.uso", "--class", "uso", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "--class" in err
 
 
 def test_enumerate_stream(capsys):
@@ -335,6 +338,18 @@ def test_read_outmap_stream_reports_record(capsys):
     with pytest.raises(Exception) as err:
         read_outmap_stream("2\n00\n10\n01\n11\nbogus\n")
     assert "record 2" in str(err.value)
+
+
+def test_read_outmap_stream_rejects_huge_dimension_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError) as err:
+            read_outmap_stream("1000000000\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "record 1" in str(err.value)
+    assert peak < 1 << 20
 
 
 def _module_run(*argv, **kwargs):
