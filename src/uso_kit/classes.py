@@ -5,9 +5,11 @@ border exactly when every vertex pair with psi(U) XOR psi(V) contained in
 U XOR V has |psi(U) XOR psi(V)| odd.  An odd USO is the mirror notion for
 the inverse outmap: every pair with U XOR V contained in phi(U) XOR phi(V)
 has |U XOR V| odd.  The two direct pair conditions differ only in which
-side must contain the other, so one containment scan decides both; the
-test suite cross-checks it against the dual route (odd = dual is border),
-the cap route (odd = every face is a cap) and a pair-by-pair reference.
+side must contain the other, so one containment scan decides both.  It
+is vectorized over groups of pairs with a common offset U XOR V and keeps
+the witness and pair count of a pair-by-pair scan; the test suite
+cross-checks it against the dual route (odd = dual is border), the cap
+route (odd = every face is a cap) and a pair-by-pair reference.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .cube import FaceSpec, Outmap, faces_iter, full_mask
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
-from .recognition import PairEvalCounter, is_puso, is_uso_fast
+from .recognition import PairEvalCounter, _values, is_puso, is_uso_fast
 
 
 class Parity(enum.Enum):
@@ -55,47 +57,86 @@ def _require_uso(phi: Outmap, counter: PairEvalCounter | None) -> None:
         raise NotAUsoError("input outmap is not a unique sink orientation")
 
 
+# Pairs per vectorized step of the containment scan; small enough that a
+# step's temporaries stay in cache.
+_PAIR_BLOCK = 1 << 16
+
+
+def _first_failing_pair(vals, parity, n: int, odd: bool, rows: np.ndarray):
+    """Lexicographically first failing pair (U, V), U < V, with U in rows, or None.
+
+    Pairs are grouped by the offset d = U XOR V.  With j the top coordinate
+    of d, U < V exactly when U lacks j, so the offsets with top coordinate j
+    run against the rows that lack j, at most _PAIR_BLOCK pairs per step.
+    """
+    best = None
+    value_parity = parity[vals]
+    for j in range(n):
+        us = rows[rows >> j & 1 == 0]
+        offsets = np.arange(1 << j, 2 << j)
+        if odd:
+            # a pair at odd distance never fails the odd condition
+            offsets = offsets[parity[offsets] == 0]
+        if not len(us) or not len(offsets):
+            continue
+        vals_u, parity_u = vals[us], value_parity[us]
+        step = max(1, _PAIR_BLOCK // len(us))
+        for k in range(0, len(offsets), step):
+            d = offsets[k : k + step, None]
+            vs = us ^ d
+            diff = vals_u ^ vals[vs]
+            d = d.astype(vals.dtype)
+            if odd:
+                bad = diff & d == d
+            else:
+                # |diff| is even when |phi(U)| and |phi(V)| have equal parity
+                bad = (diff & ~d == 0) & (parity_u == value_parity[vs])
+            if bad.any():
+                rank, col = np.nonzero(bad)
+                key = int((us[col] << n | vs[rank, col]).min())
+                best = key if best is None else min(best, key)
+    return None if best is None else divmod(best, 1 << n)
+
+
 def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
     """Shared pair scan of is_border (odd=False) and is_odd (odd=True).
 
     With D = phi(U) XOR phi(V), a pair fails when D is contained in U XOR V
     and |D| is even (border), or when U XOR V is contained in D and
-    |U XOR V| is even (odd).  Pairs (U, V), U < V, are taken in
-    lexicographic order, one row U at a time with numpy over all V > U;
-    the counter receives exactly the number of pairs up to and including
-    the first failing one, as a pair-by-pair scan would.
+    |U XOR V| is even (odd).  The witness is the lexicographically first
+    failing pair (U, V), U < V, and the counter receives the number of
+    pairs up to and including it in lexicographic order, as a pair-by-pair
+    scan would.  Row U = 0 is scanned on its own, so that a failure there
+    skips the rest.
     """
     _require_uso(phi, counter)
-    size = 1 << phi.n
-    verts = np.arange(size, dtype=np.int64)
-    values = np.asarray(phi.values, dtype=np.int64)
+    n = phi.n
+    size = 1 << n
+    verts = np.arange(size)
+    vals = _values(phi)
     parity = np.zeros(size, dtype=bool)
-    for pos in range(phi.n):
+    for pos in range(n):
         parity ^= (verts >> pos & 1).astype(bool)
-    used = 0
-    result = True, None
-    for u in range(size - 1):
-        duv = verts[u + 1 :] ^ u
-        diff = values[u + 1 :] ^ values[u]
-        inner, outer = (duv, diff) if odd else (diff, duv)
-        bad = ((inner & ~outer) == 0) & ~parity[inner]
-        k = int(bad.argmax())
-        if bad[k]:
-            used += k + 1
-            result = False, (u, u + 1 + k)
+    for rows in (verts[:1], verts[1:]):
+        witness = _first_failing_pair(vals, parity, n, odd, rows)
+        if witness is not None:
             break
-        used += size - 1 - u
+    if witness is None:
+        used = size * (size - 1) // 2
+    else:
+        u, v = witness
+        used = u * (size - 1) - u * (u - 1) // 2 + (v - u)
     if counter is not None:
         counter.count += used
-    return result
+    return witness is None, witness
 
 
 def is_border(phi: Outmap, counter: PairEvalCounter | None = None):
     """Decide whether a USO can occur as a facet of a PUSO.
 
-    Scans unordered vertex pairs in lexicographic order; the first pair
-    with phi(U) XOR phi(V) contained in U XOR V but of even size is
-    returned as witness.  Raises NotAUsoError for non-USO input.
+    The lexicographically first pair with phi(U) XOR phi(V) contained in
+    U XOR V but of even size is returned as witness.  Raises NotAUsoError
+    for non-USO input.
     """
     return _containment_scan(phi, counter, odd=False)
 
@@ -104,9 +145,9 @@ def is_odd(phi: Outmap, counter: PairEvalCounter | None = None):
     """Decide whether a USO is odd (its dual is a border USO).
 
     Direct condition: every pair with U XOR V contained in
-    phi(U) XOR phi(V) must have odd Hamming distance.  First violating
-    pair (lexicographic scan) is returned as witness.  Raises NotAUsoError
-    for non-USO input.
+    phi(U) XOR phi(V) must have odd Hamming distance.  The
+    lexicographically first violating pair is returned as witness.  Raises
+    NotAUsoError for non-USO input.
     """
     return _containment_scan(phi, counter, odd=True)
 

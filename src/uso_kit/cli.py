@@ -237,6 +237,8 @@ def _cmd_orbits(args) -> int:
         if args.files:
             raise ValueError("--class takes no input files")
         outmaps = enumerate_class(args.cls, args.n)
+    elif args.n is not None:
+        raise ValueError("--n needs --class")
     elif args.files:
         outmaps = [
             phi for path in args.files for phi in read_outmap_stream(_read_text(path))

@@ -2,7 +2,9 @@
 
 Enumeration strategy by dimension:
 
-* n <= 2: brute force over all (2**n)**(2**n) outmap functions, filtered.
+* n <= 2: brute force over all (2**n)**(2**n) outmap functions, filtered
+  by one call of the batch face kernel (as are the PUSOs among the
+  orientations for n <= 3).
 * n == 3 USOs: backtracking over the 12 edge orientations with unique-sink
   pruning on every completed 2-face, then a global sink check at the leaves.
 * n >= 3 odd USOs: compose every ordered pair of (n-1)-dimensional odd USOs
@@ -52,22 +54,27 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .classes import dual, is_odd
-from .cube import FaceSpec, Outmap, face_schedule, faces_iter, value_line
+from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, faces_iter, value_line
 from .errors import ResourceLimitError
-from .recognition import is_puso, is_uso_fast
+from .recognition import _face_failures, _puso_rows
 
 
 # ---------------------------------------------------------------------------
 # exhaustive generators
 
 
+def _function_values(n: int) -> np.ndarray:
+    """Every function from vertices to coordinate sets, one per row, lexicographic order."""
+    size = 1 << n
+    return np.array(list(itertools.product(range(size), repeat=size)), dtype=_vertex_dtype(n))
+
+
 def enumerate_outmap_functions(n: int) -> Iterator[Outmap]:
     """Every function from vertices to coordinate sets, lexicographic order (n <= 2)."""
     if n > 2:
         raise ResourceLimitError("the full function space is only enumerable for n <= 2")
-    size = 1 << n
-    for combo in itertools.product(range(1 << n), repeat=size):
-        yield Outmap(n, combo)
+    for row in _function_values(n).tolist():
+        yield Outmap(n, tuple(row))
 
 
 def _edge_list(n: int) -> list[tuple[int, int]]:
@@ -75,20 +82,25 @@ def _edge_list(n: int) -> list[tuple[int, int]]:
     return [(v, pos) for v in range(1 << n) for pos in range(n) if not v >> pos & 1]
 
 
+def _orientation_values(n: int) -> np.ndarray:
+    """Every orientation, one per row: bit idx of the row number points edge idx up."""
+    edges = _edge_list(n)
+    dtype = _vertex_dtype(n)
+    words = np.arange(1 << len(edges))
+    values = np.zeros((len(words), 1 << n), dtype=dtype)
+    for idx, (v, pos) in enumerate(edges):
+        up = (words >> idx & 1).astype(dtype)
+        values[:, v] |= up << pos
+        values[:, v | 1 << pos] |= (up ^ 1) << pos
+    return values
+
+
 def enumerate_orientations(n: int) -> Iterator[Outmap]:
     """Every consistent orientation of the n-cube, one per edge-direction word (n <= 3)."""
     if n > 3:
         raise ResourceLimitError("orientation space is only enumerable for n <= 3")
-    edges = _edge_list(n)
-    size = 1 << n
-    for word in range(1 << len(edges)):
-        values = [0] * size
-        for idx, (v, pos) in enumerate(edges):
-            if word >> idx & 1:
-                values[v] |= 1 << pos
-            else:
-                values[v | 1 << pos] |= 1 << pos
-        yield Outmap(n, tuple(values))
+    for row in _orientation_values(n).tolist():
+        yield Outmap(n, tuple(row))
 
 
 def _usos_by_backtracking_3() -> Iterator[Outmap]:
@@ -144,9 +156,9 @@ def enumerate_usos(n: int) -> Iterator[Outmap]:
     if n > 3:
         raise ResourceLimitError("exhaustive USO enumeration is capped at n = 3")
     if n <= 2:
-        for phi in enumerate_outmap_functions(n):
-            if is_uso_fast(phi):
-                yield phi
+        vals = _function_values(n)
+        for row in vals[~_face_failures(vals, n).any(axis=1)].tolist():
+            yield Outmap(n, tuple(row))
         return
     yield from _usos_by_backtracking_3()
 
@@ -155,9 +167,9 @@ def enumerate_pusos(n: int) -> Iterator[Outmap]:
     """All PUSOs of the n-cube by filtering orientations (n <= 3)."""
     if n > 3:
         raise ResourceLimitError("exhaustive PUSO enumeration is capped at n = 3")
-    for phi in enumerate_orientations(n):
-        if is_puso(phi):
-            yield phi
+    vals = _orientation_values(n)
+    for row in vals[_puso_rows(_face_failures(vals, n), n)].tolist():
+        yield Outmap(n, tuple(row))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +246,7 @@ def _sink_rows(values_list: Iterable[tuple[int, ...]], m: int) -> np.ndarray:
     vals = np.asarray(list(values_list), dtype=np.uint32)
     lowers, uppers = face_schedule(m)
     rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8)
-    for f, (lower, upper) in enumerate(zip(lowers, uppers)):
+    for f, (lower, upper) in enumerate(zip(lowers.tolist(), uppers.tolist())):
         verts = np.fromiter(FaceSpec(lower, upper).vertices(), dtype=np.int64)
         block = vals[:, verts] & (lower ^ upper)
         rows[:, f] = verts[(block == 0).argmax(axis=1)]
@@ -460,7 +472,8 @@ class CountTable:
         return len(self.rows) - 1
 
 
-OPT_IN_TARGETS = frozenset({"uso4", "odd5"})
+# Each opt-in cell and the dimension of its row.
+OPT_IN_TARGETS = {"uso4": 4, "odd5": 5}
 
 
 def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> CountTable:
@@ -468,7 +481,8 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
 
     uso(4) and odd(5) are opt-ins ("uso4", "odd5"), orbit-weighted sums
     that take about 0.1 s and 1 s; cells not covered by the current scope
-    are None.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
+    are None.  An opt-in whose row lies above max_n is refused with
+    ValueError.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
     n >= 2 is always filled when odd(n - 1) is, and is cross-verified
     against direct PUSO filtering for n <= 3.
 
@@ -479,11 +493,14 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     if jobs != 1:
         raise ValueError(f"count_table runs in one process; jobs must be 1, got {jobs!r}")
     opts = frozenset(opt_in)
-    unknown = opts - OPT_IN_TARGETS
+    unknown = opts.difference(OPT_IN_TARGETS)
     if unknown:
         raise ValueError(f"unknown opt-in targets: {sorted(unknown)}")
     if not 0 <= max_n <= 5:
         raise ResourceLimitError("counting is supported for dimensions 0..5")
+    above = sorted(opt for opt in opts if OPT_IN_TARGETS[opt] > max_n)
+    if above:
+        raise ValueError(f"opt-in targets {above} lie above max_n = {max_n}")
     odd: dict[int, int | None] = {}
     for n in range(0, min(max_n, 4) + 1):
         odd[n] = len(_odd_values(n))

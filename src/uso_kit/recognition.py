@@ -10,18 +10,27 @@ succeeds while the whole cube's antipodal pairs all fail.  Every recognizer
 takes an optional PairEvalCounter so callers can audit the evaluation
 budget.
 
-All face scans read one cached schedule, cube.face_schedule: faces ordered
-by dimension, so classify's first failing face has minimal dimension, while
-is_uso_fast and is_puso visit every face and do not depend on the order.
+All face scans read one cached schedule, cube.face_schedule: the lower and
+upper vertex of every face as two arrays, faces ordered by dimension.  One
+numpy kernel, _face_failures, evaluates a slice of it for a single outmap
+or a (k, 2**n) matrix of outmaps in one gather-XOR-AND, and every face scan
+goes through it: is_uso_fast and is_puso read the whole schedule,
+is_orientation the edges, and classify one dimension at a time, so its
+first failing face has minimal dimension.  The pair-evaluation counts are
+those of a face-by-face scan.  is_uso_naive keeps its pure-Python pair
+loop as the independent oracle.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import length_hint
+from itertools import accumulate
+from math import comb
 
-from .cube import FaceSpec, Outmap, face_schedule, full_mask
+import numpy as np
+
+from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, full_mask
 
 
 class Verdict(enum.Enum):
@@ -63,6 +72,42 @@ def pair_eval(phi: Outmap, u: int, v: int, counter: PairEvalCounter | None = Non
     return (phi.values[u] ^ phi.values[v]) & (u ^ v)
 
 
+def _values(phi: Outmap) -> np.ndarray:
+    """The outmap's values as an array in the face schedule's dtype."""
+    return np.asarray(phi.values, dtype=_vertex_dtype(phi.n))
+
+
+def _face_failures(vals: np.ndarray, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Failing antipodal pairs of faces start..stop of face_schedule(n).
+
+    vals holds one outmap per row, shape (k, 2**n), or a single outmap of
+    shape (2**n,); the result has one bool column per face, True where the
+    face's antipodal pair fails.
+    """
+    lowers, uppers = face_schedule(n)
+    lowers, uppers = lowers[start:stop], uppers[start:stop]
+    gathered = np.take(vals, lowers, axis=-1) ^ np.take(vals, uppers, axis=-1)
+    return gathered & (lowers ^ uppers) == 0
+
+
+def _puso_rows(fails: np.ndarray, n: int) -> np.ndarray:
+    """PUSO verdicts from full-schedule failures: only the last face, the whole cube, fails."""
+    if n < 2:
+        return np.zeros(fails.shape[:-1], dtype=bool)
+    return fails[..., -1] & ~fails[..., :-1].any(axis=-1)
+
+
+def _dim_starts(n: int) -> list[int]:
+    """Offsets in face_schedule(n) where each dimension 1..n begins, then the total."""
+    return list(accumulate((comb(n, dim) << (n - dim) for dim in range(1, n + 1)), initial=0))
+
+
+def _first_failure(vals: np.ndarray, n: int, start: int, stop: int) -> int | None:
+    """Index in face_schedule(n) of the first failing face among start..stop, or None."""
+    fails = _face_failures(vals, n, start, stop)
+    return start + int(fails.argmax()) if fails.any() else None
+
+
 def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
     """Consistency check: each edge is outgoing at exactly one endpoint.
 
@@ -70,24 +115,14 @@ def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
     Returns (True, None), or (False, (V, i)) with the lower endpoint and
     coordinate of the first inconsistent edge.
     """
-    values = phi.values
-    n = phi.n
-    used = 0
-    witness = None
-    for pos in range(n):
-        bit = 1 << pos
-        for v in range(1 << n):
-            if v & bit:
-                continue
-            used += 1
-            if not (values[v] ^ values[v | bit]) & bit:
-                witness = (v, pos + 1)
-                break
-        if witness:
-            break
+    edges = _dim_starts(phi.n)[min(phi.n, 1)]
+    f = _first_failure(_values(phi), phi.n, 0, edges)
     if counter is not None:
-        counter.count += used
-    return witness is None, witness
+        counter.count += edges if f is None else f + 1
+    if f is None:
+        return True, None
+    lowers, uppers = face_schedule(phi.n)
+    return False, (int(lowers[f]), int(lowers[f] ^ uppers[f]).bit_length())
 
 
 def _first_failing_face(phi: Outmap) -> tuple[int, FaceSpec | None]:
@@ -96,17 +131,18 @@ def _first_failing_face(phi: Outmap) -> tuple[int, FaceSpec | None]:
     Returns (evaluations performed, first face whose antipodal pair fails).
     Because the scan stops at the minimal failing dimension and all smaller
     faces succeeded, that face's induced orientation is a PUSO when its
-    dimension is >= 2, and an inconsistent edge when it is 1.
+    dimension is >= 2, and an inconsistent edge when it is 1.  Each
+    dimension is one vectorized step, so a scan that fails on an edge never
+    reads the larger faces.
     """
-    values = phi.values
-    lowers, uppers = face_schedule(phi.n)
-    rest = iter(lowers)
-    for lower, upper in zip(rest, uppers):
-        if not (values[lower] ^ values[upper]) & (lower ^ upper):
-            # faces consumed so far, read off the tuple iterator instead of
-            # counting in the loop, which would slow the full-length scans
-            return len(lowers) - length_hint(rest), FaceSpec(lower, upper)
-    return len(lowers), None
+    vals = _values(phi)
+    starts = _dim_starts(phi.n)
+    for start, stop in zip(starts, starts[1:]):
+        f = _first_failure(vals, phi.n, start, stop)
+        if f is not None:
+            lowers, uppers = face_schedule(phi.n)
+            return f + 1, FaceSpec(int(lowers[f]), int(uppers[f]))
+    return starts[-1], None
 
 
 def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:
@@ -153,15 +189,10 @@ def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     short-circuiting), so the counter hook reports the full budget on every
     input.
     """
-    values = phi.values
-    lowers, uppers = face_schedule(phi.n)
-    ok = True
-    for u, v in zip(lowers, uppers):
-        if not (values[u] ^ values[v]) & (u ^ v):
-            ok = False
+    fails = _face_failures(_values(phi), phi.n)
     if counter is not None:
-        counter.count += len(lowers)
-    return ok
+        counter.count += fails.size
+    return not fails.any()
 
 
 def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
@@ -170,36 +201,20 @@ def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     Uses the same 3**n - 2**n evaluation schedule as is_uso_fast.  Cubes of
     dimension < 2 admit no PUSO.
     """
-    values = phi.values
-    n = phi.n
-    full = full_mask(n)
-    lowers, uppers = face_schedule(n)
-    proper_ok = True
-    whole_fails = False
-    for u, v in zip(lowers, uppers):
-        hit = (values[u] ^ values[v]) & (u ^ v)
-        if not hit:
-            if u == 0 and v == full:
-                whole_fails = True
-            else:
-                proper_ok = False
+    fails = _face_failures(_values(phi), phi.n)
     if counter is not None:
-        counter.count += len(lowers)
-    return n >= 2 and proper_ok and whole_fails
+        counter.count += fails.size
+    return bool(_puso_rows(fails, phi.n))
 
 
 def antipodal_failures(phi: Outmap, counter: PairEvalCounter | None = None) -> int:
     """Count whole-cube antipodal pairs that fail; a PUSO fails all 2**(n-1)."""
-    values = phi.values
-    full = full_mask(phi.n)
+    vals = _values(phi)
     half = 1 << (phi.n - 1) if phi.n else 1
-    failing = 0
-    for v in range(half):
-        if not (values[v] ^ values[v ^ full]) & full:
-            failing += 1
     if counter is not None:
         counter.count += half
-    return failing
+    # the antipode v ^ full of v is full - v, so reversing pairs them up
+    return int(np.count_nonzero((vals[:half] ^ vals[::-1][:half]) & full_mask(phi.n) == 0))
 
 
 def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:

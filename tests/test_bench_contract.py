@@ -66,6 +66,21 @@ def test_benchmark_entry_points_and_call_shapes():
 
         km = klee_minty(4)
         recognition.classify(km)
+
+        # recognition.pair_evals reads the evals the counter= hook records
+        start = len(tracer.spans)
+        km10 = klee_minty(10)
+        assert recognition.classify(km10).verdict is recognition.Verdict.USO
+        assert recognition.is_uso_fast(km10)
+        evals = [
+            (span[spans.NAME], span[spans.ATTRS]["evals"])
+            for span in tracer.spans[start:]
+            if span[spans.NAME].startswith("recognition.")
+        ]
+        assert evals == [
+            ("recognition.classify", 3**10 - 2**10),
+            ("recognition.is_uso_fast", 3**10 - 2**10),
+        ]
         assert classes.is_odd(km)[0] and not classes.is_border(km)[0]
         canonical = enumeration.canonical_form(km).to_outmap()
         assert len(enumeration.orbit_representatives([km, canonical])) == 1

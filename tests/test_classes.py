@@ -23,6 +23,7 @@ from uso_kit import (
     is_cap,
     is_odd,
     klee_minty,
+    odd_family,
     puso_parity,
 )
 
@@ -83,11 +84,29 @@ def _scan_reference(phi, odd):
     return True, None, used
 
 
+def _reversed_edge_klee_minty(n):
+    """klee_minty(n) with the coordinate-1 edge at vertex 2**n - 4 reversed.
+
+    The edge's endpoints differ only in coordinate 1, so the result is still
+    a USO; its first odd violation lies deep in the pair order.
+    """
+    values = list(klee_minty(n).values)
+    values[(1 << n) - 4] ^= 1
+    values[(1 << n) - 3] ^= 1
+    return Outmap(n, tuple(values))
+
+
 def test_containment_scan_matches_pair_by_pair_reference():
     usos = list(enumerate_usos(3))
     for phi in list(enumerate_odd(4))[::50]:
         usos += [phi, dual(phi)]
     usos += [klee_minty(n) for n in range(9)]
+    # n = 9, 10 and odd_family members, failing after many rows or passing
+    # after all pairs, so the counter's closed form is checked far out
+    for n in (9, 10):
+        late = _reversed_edge_klee_minty(n)
+        usos += [dual(flip(klee_minty(n), 0b101)), late, dual(late)]
+    usos += [dual(odd_family(8, selector)) for selector in (0, 12345)]
     for phi in usos:
         budget = 3**phi.n - 2**phi.n
         for scan, odd in ((is_odd, True), (is_border, False)):

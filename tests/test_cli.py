@@ -205,6 +205,13 @@ def test_count_rejects_unknown_opt_in(capsys):
     assert "opt-in" in err
 
 
+def test_count_rejects_opt_in_above_max_n(capsys):
+    code, out, err = run(capsys, "count", "--max-n", "3", "--opt-in", "odd5")
+    assert code == 2
+    assert out == ""
+    assert "odd5" in err and "max_n" in err
+
+
 def test_count_beyond_scope(capsys):
     assert run(capsys, "count", "--max-n", "6")[0] == 3
 
@@ -262,6 +269,14 @@ def test_orbits_class_refuses_files(capsys):
     assert code == 2
     assert out == ""
     assert "--class" in err
+
+
+def test_orbits_n_needs_class(tmp_path, capsys):
+    path = write_uso(tmp_path, "km.uso", KM_3)
+    code, out, err = run(capsys, "orbits", path, "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert "--n needs --class" in err
 
 
 def test_enumerate_stream(capsys):

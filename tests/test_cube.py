@@ -1,5 +1,6 @@
 """Vertex/face mask arithmetic and the .uso text format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,8 @@ from uso_kit import (
     symdiff,
     value_line,
 )
+
+from uso_kit.cube import face_schedule
 
 from conftest import BORDER_3, BOW, EYE, KM_3
 
@@ -93,6 +96,24 @@ def test_faces_iter_deterministic_order():
     assert faces[-1] == FaceSpec(0, 3)
 
 
+@pytest.mark.parametrize("n", range(0, 9))
+def test_face_schedule_is_faces_iter_sorted_by_dimension(n):
+    faces = sorted(faces_iter(n, min_dim=1), key=lambda face: face.dim)
+    lowers, uppers = face_schedule(n)
+    assert lowers.dtype == uppers.dtype == np.uint16
+    assert not lowers.flags.writeable and not uppers.flags.writeable
+    assert lowers.tolist() == [face.lower for face in faces]
+    assert uppers.tolist() == [face.upper for face in faces]
+
+
+def test_face_schedule_length_at_twelve():
+    n = 12
+    lowers, uppers = face_schedule(n)
+    assert lowers.dtype == uppers.dtype == np.uint16
+    assert len(lowers) == len(uppers) == 3**n - 2**n
+    assert (lowers[-1], uppers[-1]) == (0, (1 << n) - 1)
+
+
 def test_face_vertices_ascending():
     for face in faces_iter(4):
         verts = list(face.vertices())
@@ -110,6 +131,22 @@ def test_outmap_validation():
     phi = Outmap(2, EYE)
     assert phi[0b11] == 3
     assert phi.whole_face() == FaceSpec(0, 3)
+
+
+def test_outmap_validation_names_the_first_bad_vertex():
+    with pytest.raises(ValueError, match=r"value 0b100 at vertex 1 uses coordinates beyond 1\.\.2"):
+        Outmap(2, (0, 4, -1, 7))
+    with pytest.raises(ValueError, match=r"value -0b1 at vertex 2 "):
+        Outmap(2, (0, 1, -1, 7))
+    with pytest.raises(ValueError, match=r"value 0b1 at vertex 0 uses coordinates beyond 1\.\.0"):
+        Outmap(0, (1,))
+
+
+def test_outmap_refuses_non_integer_values():
+    with pytest.raises(TypeError):
+        Outmap(1, (0.5, 1))
+    with pytest.raises(TypeError):
+        Outmap(2, (0, 1.0, 2, 3))
 
 
 def test_face_sinks_on_fixed_outmaps():
@@ -141,6 +178,8 @@ def test_parse_emit_fixed():
 def test_value_line_orders_coordinate_one_first():
     assert value_line(0b110, 3) == "011"
     assert value_line(0, 0) == ""
+    assert value_line(0b1011, 3) == "110"
+    assert value_line(0, 4) == "0000"
 
 
 def test_parse_zero_dimensional():
@@ -166,6 +205,25 @@ def test_parse_errors_cite_line(text, line):
         parse_uso(text)
     if line is not None:
         assert f"line {line}" in str(err.value)
+
+
+@pytest.mark.parametrize("row", ["1_", "+1", "-1", " 1", "1 ", "\u0661\u0661", "\uff11\uff10"])
+def test_parse_rejects_rows_that_int_would_accept(row):
+    """int(row, 2) accepts these; the .uso format allows only 0 and 1."""
+    text = f"2\n00\n{row}\n01\n11\n"
+    with pytest.raises(FormatError) as err:
+        parse_uso(text)
+    first_bad = next(ch for ch in row if ch not in "01")
+    assert str(err.value) == f"line 3: invalid character {first_bad!r}"
+
+
+def test_parse_names_the_first_malformed_row():
+    with pytest.raises(FormatError) as err:
+        parse_uso("2\n00\n1x\n0\n11\n")
+    assert str(err.value) == "line 3: invalid character 'x'"
+    with pytest.raises(FormatError) as err:
+        parse_uso("2\n00\n1\n0x\n11\n")
+    assert str(err.value) == "line 3: expected exactly 2 characters, got 1"
 
 
 @given(outmaps())

@@ -90,6 +90,22 @@ def test_puso_stream_counts_and_validity():
         assert count == expected
 
 
+def test_batch_filters_match_the_per_outmap_filter():
+    """The one-call USO and PUSO filters keep the naive verdict's outmaps, in order."""
+    for n in range(3):
+        want = [
+            phi for phi in enumerate_outmap_functions(n)
+            if is_uso_naive(phi).verdict is Verdict.USO
+        ]
+        assert list(enumerate_usos(n)) == want
+    for n in range(4):
+        want = [
+            phi for phi in enumerate_orientations(n)
+            if is_uso_naive(phi).verdict is Verdict.PUSO
+        ]
+        assert list(enumerate_pusos(n)) == want
+
+
 def test_odd_stream_counts_and_validity():
     for n, expected in enumerate((1, 2, 8, 112)):
         seen = set()
@@ -314,6 +330,12 @@ def test_count_table_validates_arguments():
         count_table(3, opt_in=("cake",))
     with pytest.raises(ResourceLimitError):
         count_table(6)
+
+
+@pytest.mark.parametrize("max_n, opt_in", [(3, ("uso4",)), (4, ("odd5",)), (3, ("uso4", "odd5"))])
+def test_count_table_refuses_opt_ins_above_max_n(max_n, opt_in):
+    with pytest.raises(ValueError, match="above max_n"):
+        count_table(max_n, opt_in=opt_in)
 
 
 # ---------------------------------------------------------------------------

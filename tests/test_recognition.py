@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uso_kit import (
     FaceSpec,
@@ -11,13 +14,17 @@ from uso_kit import (
     Verdict,
     antipodal_failures,
     classify,
+    cyclic_puso,
     enumerate_outmap_functions,
+    flip,
     is_orientation,
     is_puso,
     is_uso_fast,
     is_uso_naive,
+    klee_minty,
     pair_eval,
 )
+from uso_kit.recognition import _face_failures, _puso_rows
 
 from conftest import BOW, CYCLE, EMBEDDED_TWIN_PEAK, EYE, KM_3, TWIN_PEAK
 
@@ -145,3 +152,37 @@ def test_random_outmaps_fast_equals_naive():
         n = rng.choice((3, 4))
         phi = Outmap(n, tuple(rng.getrandbits(n) for _ in range(1 << n)))
         assert is_uso_fast(phi) == (is_uso_naive(phi).verdict is Verdict.USO)
+
+
+@st.composite
+def outmap_batches(draw):
+    """Up to four outmaps of one dimension n <= 6: flipped USOs and PUSOs,
+    the same with one edge reversed, and arbitrary functions."""
+    n = draw(st.integers(0, 6))
+    batch = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("uso", "puso", "function")))
+        if kind == "function" or (kind == "puso" and n < 2):
+            values = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1 << n, max_size=1 << n))
+        else:
+            base = klee_minty(n) if kind == "uso" else cyclic_puso(n)
+            values = list(flip(base, draw(st.integers(0, (1 << n) - 1))).values)
+            if n and draw(st.booleans()):
+                v, e = draw(st.integers(0, (1 << n) - 1)), 1 << draw(st.integers(0, n - 1))
+                values[v] ^= e
+                values[v ^ e] ^= e
+        batch.append(Outmap(n, tuple(values)))
+    return batch
+
+
+@given(outmap_batches())
+@settings(max_examples=150, deadline=None)
+def test_batch_face_kernel_agrees_with_naive(batch):
+    """Each row of one kernel call over a (k, 2**n) matrix gives the naive verdict."""
+    n = batch[0].n
+    fails = _face_failures(np.array([phi.values for phi in batch]), n)
+    assert fails.shape == (len(batch), 3**n - 2**n)
+    for row, puso, phi in zip(fails, _puso_rows(fails, n), batch):
+        verdict = is_uso_naive(phi).verdict
+        assert (not row.any()) == (verdict is Verdict.USO)
+        assert bool(puso) == (verdict is Verdict.PUSO)
