@@ -106,8 +106,8 @@ def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
     |U XOR V| is even (odd).  The witness is the lexicographically first
     failing pair (U, V), U < V, and the counter receives the number of
     pairs up to and including it in lexicographic order, as a pair-by-pair
-    scan would.  Row U = 0 is scanned on its own, so that a failure there
-    skips the rest.
+    scan would.  Row U = 0 is scanned first, in one step, so that a
+    failure there skips the rest.
     """
     _require_uso(phi, counter)
     n = phi.n
@@ -117,10 +117,13 @@ def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
     parity = np.zeros(size, dtype=bool)
     for pos in range(n):
         parity ^= (verts >> pos & 1).astype(bool)
-    for rows in (verts[:1], verts[1:]):
-        witness = _first_failing_pair(vals, parity, n, odd, rows)
-        if witness is not None:
-            break
+    diff = vals[0] ^ vals[1:]
+    inner, outer = (verts[1:], diff) if odd else (diff, verts[1:])
+    failing = np.flatnonzero((inner & ~outer == 0) & ~parity[inner])
+    if len(failing):
+        witness = (0, int(failing[0]) + 1)
+    else:
+        witness = _first_failing_pair(vals, parity, n, odd, verts[1:])
     if witness is None:
         used = size * (size - 1) // 2
     else:

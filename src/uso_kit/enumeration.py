@@ -18,11 +18,12 @@ Enumeration strategy by dimension:
   holds.
 
 Composition strategy: one vectorized filter, _valid_upper_mask, tests a
-lower facet against every upper facet at once.  It builds the odd lists
-for n = 3, 4, streams n = 5 and counts odd(n + 1).  The scalar
-_compose_valid_pattern is the reference it is tested against, and the
-filter is equivalent to running the generic odd test on the composed
-outmap, which the test suite also asserts.
+lower facet against every upper facet at once, on one 16-bit vertex set
+per upper facet.  It builds the odd lists for n = 3, 4, streams n = 5
+and counts odd(n + 1).  The scalar _compose_valid_pattern is the
+reference it is tested against, and the filter is equivalent to running
+the generic odd test on the composed outmap, which the test suite
+asserts for n = 3 in full and for n = 5 on a sample.
 
 Counting uses the same composition idea without materializing outmaps:
 USO counts sum 2**(components of the sink-agreement graph) over ordered
@@ -245,7 +246,8 @@ def _sink_rows(values_list: Iterable[tuple[int, ...]], m: int) -> np.ndarray:
     """Sink vertex of every face with dim >= 1 (face_schedule order) for each USO given."""
     vals = np.asarray(list(values_list), dtype=np.uint32)
     lowers, uppers = face_schedule(m)
-    rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8)
+    # face-major in memory: the pair filter reads the sinks of one face at a time
+    rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8, order="F")
     for f, (lower, upper) in enumerate(zip(lowers.tolist(), uppers.tolist())):
         verts = np.fromiter(FaceSpec(lower, upper).vertices(), dtype=np.int64)
         block = vals[:, verts] & (lower ^ upper)
@@ -337,30 +339,46 @@ def _facet_arrays(m: int):
 def _valid_upper_mask(i0: int, nib: np.ndarray, rows: np.ndarray, m: int):
     """Vectorized _compose_valid_pattern of facet i0 against every upper facet.
 
-    Returns (valid mask, seed-0 patterns) over all uppers at once.
+    Returns (valid mask, seed-0 patterns) over all uppers at once.  The
+    tests work on vertex sets, one 16-bit word per upper facet (m <= 4):
+    same[a] holds the vertices whose connecting edge points the same way
+    as a's.  The sinks agree iff the upper sinks reached from lower sink a
+    (reach[a]) lie inside same[a], and no odd pair agrees iff the lower
+    vertices at odd distance from v that the upper value x at v includes
+    (table[v, x]) avoid same[v], for every a and v.
     """
     count = nib.shape[0]
-    nib0 = nib[i0]
     size = 1 << m
-    g = np.zeros(count, dtype=np.uint32)
+    lower = nib[i0].tolist()
+    cols = np.ascontiguousarray(nib.T, dtype=np.uint16)
+    g = np.zeros(count, dtype=np.uint16)
     for v in range(1, size):
         bit = v & -v
         parent = v ^ bit
         pos = bit.bit_length() - 1
-        h = (((int(nib0[parent]) ^ nib[:, parent]) >> pos) & 1) ^ 1
+        h = (((lower[parent] ^ cols[parent]) >> pos) & 1) ^ 1
         g |= ((g >> parent & 1) ^ h) << v
-    row0 = rows[i0].astype(np.uint32)
-    sinks1 = rows.astype(np.uint32)
-    agree = ((g[:, None] >> row0[None, :]) ^ (g[:, None] >> sinks1)) & 1
-    valid = ~agree.any(axis=1)
-    pairs = _odd_distance_pairs(m)
-    us = np.fromiter((p[0] for p in pairs), dtype=np.uint32)
-    vs = np.fromiter((p[1] for p in pairs), dtype=np.uint32)
-    ds = np.fromiter((p[2] for p in pairs), dtype=np.uint32)
-    incl = (ds[None, :] & ~(nib0[us][None, :] ^ nib[:, vs])) == 0
-    same = ((g[:, None] >> us[None, :]) ^ (g[:, None] >> vs[None, :])) & 1 == 0
-    valid &= ~(incl & same).any(axis=1)
-    return valid, g
+    verts = np.arange(size, dtype=np.uint16)
+    # (bit a of g) - 1 wraps to all ones where the bit is 0
+    same = g ^ ((g >> verts[:, None] & 1) - 1)
+    reach = np.zeros((size, count), dtype=np.uint16)
+    upper_sinks = np.uint16(1) << rows.T
+    for f, a in enumerate(rows[i0].tolist()):
+        reach[a] |= upper_sinks[f]
+    dist = verts ^ verts[:, None, None]
+    odd = np.array([d.bit_count() & 1 for d in range(size)], dtype=bool)
+    hits = odd[dist] & (dist & ~(np.array(lower) ^ verts[:, None]) == 0)
+    table = (hits << verts).sum(axis=2, dtype=np.uint16)
+    # each upper value cols[v] becomes the set of lower vertices it includes
+    for v in range(size):
+        table[v].take(cols[v], out=cols[v])
+    # in place: temporaries here made every call at m = 4 fault in about
+    # 500 fresh pages
+    cols &= same
+    np.invert(same, out=same)
+    reach &= same
+    reach |= cols
+    return ~reach.any(axis=0), g
 
 
 def _odd_successor_worker(args) -> int:
@@ -480,7 +498,7 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     """Exact class counts per dimension up to max_n (<= 5).
 
     uso(4) and odd(5) are opt-ins ("uso4", "odd5"), orbit-weighted sums
-    that take about 0.1 s and 1 s; cells not covered by the current scope
+    that take about 0.05 s and 0.3 s; cells not covered by the current scope
     are None.  An opt-in whose row lies above max_n is refused with
     ValueError.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
     n >= 2 is always filled when odd(n - 1) is, and is cross-verified

@@ -7,7 +7,7 @@ the exact counts that only runs when USO_KIT_OPT_IN lists its targets, e.g.
     USO_KIT_OPT_IN=uso4,odd5 pytest tests/test_acceptance.py -v -s
 
 Its odd5 part sums the filter over all 12928 lower facets in one process
-and takes about 4 minutes.  Everything else finishes in well under a
+and takes about 20 seconds.  Everything else finishes in well under a
 minute.
 """
 
@@ -218,7 +218,7 @@ def _opted_in() -> set[str]:
 
 @pytest.mark.skipif(
     not _opted_in() & {"uso4", "odd5"},
-    reason="long-running full-range oracle of the exact counts (odd5 takes about 4 minutes "
+    reason="long-running full-range oracle of the exact counts (odd5 takes about 20 seconds "
     "in one process); set USO_KIT_OPT_IN=uso4,odd5",
 )
 @criterion(8, "full-range oracle of the exact counts uso(4) and odd(5) (long-running)")

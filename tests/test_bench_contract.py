@@ -43,6 +43,22 @@ def test_benchmark_entry_points_and_call_shapes():
         )
         assert enumeration._odd_successor_worker((nib, rows, 3, 0, 1)) == 2 * survivors
 
+        # odd5_facets_per_s runs the worker on one lower facet of dimension 4
+        nib4, rows4 = enumeration._facet_arrays(4)
+        i0 = 4321
+        start = len(tracer.spans)
+        total = enumeration._odd_successor_worker((nib4, rows4, 4, i0, i0 + 1))
+        filtered = [
+            span[spans.ATTRS]["survivors"]
+            for span in tracer.spans[start:]
+            if span[spans.NAME] == "enumeration.filter"
+        ]
+        assert len(filtered) == 1 and total == 2 * filtered[0] > 0
+        valid, patterns = enumeration._valid_upper_mask(i0, nib4, rows4, 4)
+        assert valid.dtype == bool and valid.shape == (12928,)
+        assert int(valid.sum()) == filtered[0]
+        assert int(patterns.max()) < 1 << 16
+
         uso_rows = enumeration._sink_rows(enumeration._uso_values(2), 2).tolist()
         assert enumeration._uso_successor_worker((uso_rows, 4, 0, len(uso_rows))) == 744
 

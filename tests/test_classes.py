@@ -1,5 +1,7 @@
 """Border and odd characterizations, duality, caps, PUSO parity."""
 
+import random
+
 import pytest
 
 from uso_kit import (
@@ -25,6 +27,7 @@ from uso_kit import (
     klee_minty,
     odd_family,
     puso_parity,
+    random_uso,
 )
 
 from conftest import BORDER_3, BOW, CYCLE, EYE, KM_3, TWIN_PEAK
@@ -96,8 +99,26 @@ def _reversed_edge_klee_minty(n):
     return Outmap(n, tuple(values))
 
 
+def _product_uso(n, seed):
+    """USO of the n-cube from a klee_minty outer cube over 4 low coordinates
+    whose inner 4-USO is drawn anew at every outer vertex.
+
+    The low coordinates may depend on the outer vertex while the outer
+    coordinates do not depend on the low ones, so the result is a USO.
+    Its first odd and border violations lie in row 0, at varied V.
+    """
+    rng = random.Random(seed)
+    outer = klee_minty(n - 4)
+    inners = [random_uso(4, rng).values for _ in outer.values]
+    return Outmap(n, tuple(
+        inners[v >> 4][v & 15] | outer.values[v >> 4] << 4 for v in range(1 << n)
+    ))
+
+
 def test_containment_scan_matches_pair_by_pair_reference():
-    usos = list(enumerate_usos(3))
+    # n = 1 has one pair, at odd distance with an odd value difference, so
+    # no 1-cube USO fails either scan
+    usos = list(enumerate_usos(1)) + list(enumerate_usos(3))
     for phi in list(enumerate_odd(4))[::50]:
         usos += [phi, dual(phi)]
     usos += [klee_minty(n) for n in range(9)]
@@ -107,6 +128,8 @@ def test_containment_scan_matches_pair_by_pair_reference():
         late = _reversed_edge_klee_minty(n)
         usos += [dual(flip(klee_minty(n), 0b101)), late, dual(late)]
     usos += [dual(odd_family(8, selector)) for selector in (0, 12345)]
+    # n = 7 and 12, failing both scans in row 0
+    usos += [_product_uso(n, seed) for n in (7, 12) for seed in (0, 1)]
     for phi in usos:
         budget = 3**phi.n - 2**phi.n
         for scan, odd in ((is_odd, True), (is_border, False)):

@@ -190,6 +190,33 @@ def test_composition_filter_matches_generic_odd_test():
     assert composed_valid == {phi.values for phi in enumerate_odd(3)}
 
 
+def test_composition_filter_matches_generic_odd_test_m4():
+    """The odd(5) filter's verdicts against classify and is_odd on the composed outmaps.
+
+    The bow rule forces any odd composition's connecting pattern to be the
+    kernel's seed-0 pattern or its flip, so an accepted pair must give two
+    odd USOs and a rejected pair none.
+    """
+    m = 4
+    prev = enumeration._odd_values(m)
+    nib, rows = enumeration._facet_arrays(m)
+    flip_all = (1 << (1 << m)) - 1
+    rng = random.Random(45)
+    for i0 in rng.sample(range(len(prev)), 3):
+        valid, patterns = enumeration._valid_upper_mask(i0, nib, rows, m)
+        valid = valid.tolist()
+        accepted = rng.sample([i1 for i1, ok in enumerate(valid) if ok], 50)
+        rejected = rng.sample([i1 for i1, ok in enumerate(valid) if not ok], 50)
+        for i1 in accepted + rejected:
+            g = int(patterns[i1])
+            odd_usos = 0
+            for pattern in (g, g ^ flip_all):
+                values = enumeration._compose_build(prev[i0], prev[i1], m, pattern)
+                phi = Outmap(m + 1, tuple(values))
+                odd_usos += classify(phi).verdict is Verdict.USO and is_odd(phi)[0]
+            assert odd_usos == (2 if valid[i1] else 0), (i0, i1)
+
+
 def test_connect_facets_rejects_conflicting_bows():
     # Around the 2-face at facet vertices 00, 10, 11, 01 the bow rule forces
     # an odd number of reversals, so the pattern cannot close up.
