@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import repeat
 from operator import or_
 from typing import Iterator
 
@@ -282,6 +281,22 @@ def value_line(value: int, n: int) -> str:
     return format(value & top - 1 | top, "b")[:0:-1]
 
 
+@lru_cache(maxsize=None)
+def _line_tables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """.uso lines of the low k = n // 2 and the high n - k coordinates (<= 2**10 each)."""
+    k = n // 2
+    lo = tuple(value_line(v, k) for v in range(1 << k))
+    return lo, tuple(value_line(v, n - k) for v in range(1 << (n - k)))
+
+
 def emit_uso(phi: Outmap) -> str:
-    """Serialize an outmap to .uso text (with trailing newline)."""
-    return "\n".join([str(phi.n), *map(value_line, phi.values, repeat(phi.n))]) + "\n"
+    """Serialize an outmap to .uso text (with trailing newline).
+
+    Coordinate 1 comes first in a line, so value v renders as its low
+    coordinates' line followed by its high coordinates' line.
+    """
+    n = phi.n
+    k = n // 2
+    mask = (1 << k) - 1
+    lo, hi = _line_tables(n)
+    return "\n".join([str(n), *[lo[v & mask] + hi[v >> k] for v in phi.values]]) + "\n"

@@ -19,11 +19,14 @@ Enumeration strategy by dimension:
 
 Composition strategy: one vectorized filter, _valid_upper_mask, tests a
 lower facet against every upper facet at once, on one 16-bit vertex set
-per upper facet.  It builds the odd lists for n = 3, 4, streams n = 5
-and counts odd(n + 1).  The scalar _compose_valid_pattern is the
-reference it is tested against, and the filter is equivalent to running
-the generic odd test on the composed outmap, which the test suite
-asserts for n = 3 in full and for n = 5 on a sample.
+per upper facet, and one block builder, _compose_block, turns the lower
+facet and all the uppers it accepts into a numpy array of records, each
+upper's seed-0 composition followed by its flip.  Together they build the
+odd lists for n = 3, 4 and stream n = 5; the filter alone counts
+odd(n + 1).  The scalar _compose_valid_pattern is the reference the
+filter is tested against, and the filter is equivalent to running the
+generic odd test on the composed outmap, which the test suite asserts for
+n = 3 in full and for n = 5 on a sample.
 
 Counting uses the same composition idea without materializing outmaps:
 USO counts sum 2**(components of the sink-agreement graph) over ordered
@@ -202,9 +205,9 @@ def connect_facets(lower: Outmap, upper: Outmap, seed: int) -> Outmap | None:
         for pos in range(m):
             if not ((g >> v) ^ (g >> (v ^ 1 << pos)) ^ (h >> pos)) & 1:
                 return None
-    if seed:
-        g ^= (1 << (1 << m)) - 1
-    return Outmap(m + 1, tuple(_compose_build(psi0, psi1, m, g)))
+    # an object array keeps g a Python int: above m = 6 it has more than 64 bits
+    block = _compose_block(psi0, np.array([psi1]), np.array([g], dtype=object), m)
+    return Outmap(m + 1, tuple(block[seed].tolist()))
 
 
 def _tree_pattern(psi0, psi1, m: int) -> int:
@@ -225,12 +228,21 @@ def _tree_pattern(psi0, psi1, m: int) -> int:
     return g
 
 
-def _compose_build(psi0, psi1, m: int, pattern: int) -> list[int]:
-    """Assemble the composed value list from facet values and a connecting pattern."""
-    top = 1 << m
-    values = [psi0[v] | top if pattern >> v & 1 else psi0[v] for v in range(top)]
-    values += [psi1[v] if pattern >> v & 1 else psi1[v] | top for v in range(top)]
-    return values
+def _compose_block(lower, uppers, patterns, m: int) -> np.ndarray:
+    """Compositions of one lower facet with k upper facets, as (2k, 2**(m+1)) rows.
+
+    Row 2j composes upper j (row j of uppers) by its seed-0 pattern j: vertex
+    v of the lower half is lower | top * bit, of the upper half upper | top *
+    (1 - bit), for bit v of the pattern and top = 2**m.  Row 2j + 1 is its flip.
+    """
+    size = 1 << m
+    dtype = _vertex_dtype(m + 1)
+    tops = (patterns[:, None] >> np.arange(size) & 1).astype(dtype) << dtype(m)
+    out = np.empty((len(patterns), 2, 2 * size), dtype=dtype)
+    out[:, 0, :size] = np.asarray(lower, dtype=dtype) | tops
+    out[:, 0, size:] = np.asarray(uppers, dtype=dtype) | tops ^ dtype(size)
+    np.bitwise_xor(out[:, 0], dtype(size), out=out[:, 1])
+    return out.reshape(2 * len(patterns), 2 * size)
 
 
 @lru_cache(maxsize=None)
@@ -242,9 +254,12 @@ def _odd_distance_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _sink_rows(values_list: Iterable[tuple[int, ...]], m: int) -> np.ndarray:
-    """Sink vertex of every face with dim >= 1 (face_schedule order) for each USO given."""
-    vals = np.asarray(list(values_list), dtype=np.uint32)
+def _sink_rows(values_list, m: int) -> np.ndarray:
+    """Sink vertex of every face with dim >= 1 (face_schedule order) for each USO given.
+
+    values_list holds value tuples, or is a (k, 2**m) array of them.
+    """
+    vals = np.asarray(values_list, dtype=np.uint32)
     lowers, uppers = face_schedule(m)
     # face-major in memory: the pair filter reads the sinks of one face at a time
     rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8, order="F")
@@ -294,19 +309,19 @@ def _odd_values(m: int) -> tuple[tuple[int, ...], ...]:
 def _composed_odd(m: int) -> Iterator[tuple[int, ...]]:
     """Odd (m+1)-USOs composed from the dimension-m odd list, in enumeration order.
 
-    Ordered facet pairs are visited lower-major; each valid pair yields its
-    seed-0 composition followed by the flipped one.
+    For each lower facet in list order, _valid_upper_mask picks the upper
+    facets and _compose_block builds their records as one block: every
+    accepted upper, in list order, gives its seed-0 composition and then
+    the flipped one.  The block becomes tuples 256 rows at a time, because
+    a whole facet's lists (about 1.3 MB at m = 4) raised peak memory.
     """
-    prev = _odd_values(m)
     nib, rows = _facet_arrays(m)
-    flip_all = (1 << (1 << m)) - 1
-    for i0, psi0 in enumerate(prev):
+    for i0 in range(len(nib)):
         valid, patterns = _valid_upper_mask(i0, nib, rows, m)
-        for i1 in np.nonzero(valid)[0]:
-            psi1 = prev[i1]
-            g = int(patterns[i1])
-            yield tuple(_compose_build(psi0, psi1, m, g))
-            yield tuple(_compose_build(psi0, psi1, m, g ^ flip_all))
+        uppers = np.flatnonzero(valid)
+        block = _compose_block(nib[i0], nib[uppers], patterns[uppers], m)
+        for lo in range(0, len(block), 256):
+            yield from map(tuple, block[lo : lo + 256].tolist())
 
 
 def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
@@ -330,10 +345,8 @@ def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
 
 def _facet_arrays(m: int):
     """Value matrix and sink table of the full dimension-m odd USO list."""
-    values_list = _odd_values(m)
-    nib = np.asarray(values_list, dtype=np.uint32)
-    rows = _sink_rows(values_list, m)
-    return nib, rows
+    nib = np.asarray(_odd_values(m), dtype=np.uint32)
+    return nib, _sink_rows(nib, m)
 
 
 def _valid_upper_mask(i0: int, nib: np.ndarray, rows: np.ndarray, m: int):
@@ -761,7 +774,8 @@ def random_uso(n: int, rng) -> Outmap:
 
     root_bits = {root: rng.getrandbits(1) for root in {find(v) for v in range(8)}}
     pattern = sum(root_bits[find(v)] << v for v in range(8))
-    return Outmap(4, tuple(_compose_build(values_list[i0], values_list[i1], 3, pattern)))
+    block = _compose_block(values_list[i0], np.array([values_list[i1]]), np.array([pattern]), 3)
+    return Outmap(4, tuple(block[0].tolist()))
 
 
 def random_odd(n: int, rng) -> Outmap:

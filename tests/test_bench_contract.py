@@ -8,9 +8,10 @@ dropping a benchmark metric.
 """
 
 import importlib.util
+import itertools
 from pathlib import Path
 
-from uso_kit import classes, enumeration, klee_minty, recognition
+from uso_kit import classes, cube, enumeration, klee_minty, recognition
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -114,5 +115,26 @@ def test_benchmark_entry_points_and_call_shapes():
             "classes.is_odd",
             "classes.is_border",
         } <= names
+    finally:
+        tracer.uninstall()
+
+
+def test_stream_call_shape_records_one_emit_and_init_per_record():
+    """cube.emit_us and cube.outmap_init_us average these spans over the stream phase."""
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+        # the odd(4) list the stream composes from, built before the spans counted
+        enumeration._odd_values(4)
+        start = len(tracer.spans)
+        stream = enumeration.enumerate_class("odd", 5, allow_large=True)
+        texts = [cube.emit_uso(phi) for phi in itertools.islice(stream, 200)]
+        stream.close()
+        names = [span[spans.NAME] for span in tracer.spans[start:]]
+        assert len(set(texts)) == 200
+        assert names.count("cube.emit_uso") == 200
+        assert names.count("cube.outmap_init") == 200
     finally:
         tracer.uninstall()

@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uso_kit
 from uso_kit import (
@@ -26,6 +28,7 @@ from uso_kit import (
 from uso_kit.cli import main, read_outmap_stream
 
 from conftest import BORDER_3, EYE, KM_3, TWIN_PEAK
+from test_cube import outmaps
 
 
 def write_uso(tmp_path, name, values):
@@ -353,6 +356,14 @@ def test_read_outmap_stream_reports_record(capsys):
     with pytest.raises(Exception) as err:
         read_outmap_stream("2\n00\n10\n01\n11\nbogus\n")
     assert "record 2" in str(err.value)
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), outmaps(4)), max_size=6), st.integers(0, 2))
+@settings(max_examples=100)
+def test_read_outmap_stream_round_trips_records_and_blank_lines(records, trailing):
+    """Emitted records with 0-2 blank lines before each and after the last parse back."""
+    text = "".join("\n" * blanks + emit_uso(phi) for blanks, phi in records) + "\n" * trailing
+    assert read_outmap_stream(text) == [phi for _, phi in records]
 
 
 def test_read_outmap_stream_rejects_huge_dimension_before_allocating():

@@ -1,5 +1,7 @@
 """Vertex/face mask arithmetic and the .uso text format."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from uso_kit import (
     faces_iter,
     full_mask,
     induced_outmap,
+    klee_minty,
     mask_from_coords,
     parse_uso,
     symdiff,
@@ -230,6 +233,27 @@ def test_parse_names_the_first_malformed_row():
 @settings(max_examples=150)
 def test_parse_emit_round_trip(phi):
     assert parse_uso(emit_uso(phi)) == phi
+
+
+def _emit_reference(phi: Outmap) -> str:
+    """.uso text with one value_line call per vertex."""
+    return "\n".join([str(phi.n), *(value_line(v, phi.n) for v in phi.values)]) + "\n"
+
+
+@given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 1.0]))
+@settings(max_examples=100, deadline=None)
+def test_emit_matches_per_line_reference(n, seed, ones):
+    """emit_uso's two-table lines against value_line, all-ones values included."""
+    rng = random.Random(seed)
+    full = full_mask(n)
+    values = tuple(full if rng.random() < ones else rng.getrandbits(n) for _ in range(1 << n))
+    phi = Outmap(n, values)
+    assert emit_uso(phi) == _emit_reference(phi)
+
+
+def test_emit_matches_per_line_reference_klee_minty_16():
+    phi = klee_minty(16)
+    assert emit_uso(phi) == _emit_reference(phi)
 
 
 @given(outmaps())

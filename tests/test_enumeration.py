@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from uso_kit import (
@@ -149,6 +150,14 @@ def test_stream_order_is_stable():
 # facet composition
 
 
+def _compose_build(psi0, psi1, m: int, pattern: int) -> list[int]:
+    """Reference composer: the composed value list of one pair, one vertex at a time."""
+    top = 1 << m
+    values = [psi0[v] | top if pattern >> v & 1 else psi0[v] for v in range(top)]
+    values += [psi1[v] if pattern >> v & 1 else psi1[v] | top for v in range(top)]
+    return values
+
+
 def test_connect_facets_fixed_case():
     bow = Outmap(2, BOW)
     composed = connect_facets(bow, bow, 0)
@@ -211,10 +220,20 @@ def test_composition_filter_matches_generic_odd_test_m4():
             g = int(patterns[i1])
             odd_usos = 0
             for pattern in (g, g ^ flip_all):
-                values = enumeration._compose_build(prev[i0], prev[i1], m, pattern)
+                values = _compose_build(prev[i0], prev[i1], m, pattern)
                 phi = Outmap(m + 1, tuple(values))
                 odd_usos += classify(phi).verdict is Verdict.USO and is_odd(phi)[0]
             assert odd_usos == (2 if valid[i1] else 0), (i0, i1)
+
+
+def test_connect_facets_matches_scalar_composer_beyond_64_bit_patterns():
+    """At m = 7 the connecting pattern has 128 bits."""
+    km = klee_minty(7)
+    g = enumeration._tree_pattern(km.values, km.values, 7)
+    assert g >> 64
+    for seed, pattern in ((0, g), (1, g ^ (1 << 128) - 1)):
+        expected = _compose_build(km.values, km.values, 7, pattern)
+        assert connect_facets(km, km, seed).values == tuple(expected)
 
 
 def test_connect_facets_rejects_conflicting_bows():
@@ -249,7 +268,7 @@ def test_valid_upper_mask_matches_scalar_oracle_m4():
     _assert_mask_matches_scalar(4, random.Random(4).sample(range(12928), 3))
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_odd_lists_match_scalar_composition(n):
     m = n - 1
     prev = enumeration._odd_values(m)
@@ -261,9 +280,92 @@ def test_odd_lists_match_scalar_composition(n):
         for psi1, row1 in zip(prev, rows):
             g = enumeration._compose_valid_pattern(psi0, psi1, m, row0, row1, odd_pairs)
             if g is not None:
-                expected.append(tuple(enumeration._compose_build(psi0, psi1, m, g)))
-                expected.append(tuple(enumeration._compose_build(psi0, psi1, m, g ^ flip_all)))
-    assert enumeration._odd_values(n) == tuple(expected)
+                expected.append(tuple(_compose_build(psi0, psi1, m, g)))
+                expected.append(tuple(_compose_build(psi0, psi1, m, g ^ flip_all)))
+    assert tuple(enumeration._composed_odd(m)) == tuple(expected)
+    if n >= 3:
+        assert enumeration._odd_values(n) == tuple(expected)
+    else:
+        # the lists below n = 3 come from brute force, in lexicographic order
+        assert sorted(enumeration._odd_values(n)) == sorted(expected)
+
+
+def test_compose_block_matches_scalar_composer_m4():
+    """Each valid upper's two block rows against the reference composer.
+
+    Lower facet 0 also opens the odd(5) stream, which hands its records
+    out over several 256-row slices.
+    """
+    m = 4
+    prev = enumeration._odd_values(m)
+    nib, rows = enumeration._facet_arrays(m)
+    flip_all = (1 << (1 << m)) - 1
+    for i0 in [0, *random.Random(47).sample(range(len(prev)), 3)]:
+        valid, patterns = enumeration._valid_upper_mask(i0, nib, rows, m)
+        uppers = np.flatnonzero(valid)
+        block = enumeration._compose_block(nib[i0], nib[uppers], patterns[uppers], m)
+        assert block.shape == (2 * len(uppers), 1 << (m + 1))
+        expected = []
+        for i1 in uppers.tolist():
+            g = int(patterns[i1])
+            expected.append(tuple(_compose_build(prev[i0], prev[i1], m, g)))
+            expected.append(tuple(_compose_build(prev[i0], prev[i1], m, g ^ flip_all)))
+        assert list(map(tuple, block.tolist())) == expected, i0
+        if i0 == 0:
+            assert len(expected) > 3 * 256
+            assert list(itertools.islice(enumeration._composed_odd(m), len(expected))) == expected
+
+
+# connect_facets on every ordered pair of odd(2), lower-major: the seed-0
+# and then the seed-1 values as octal digits, recorded with the per-vertex
+# composer
+CONNECTED_ODD2 = (
+    "0572413641360572", "0576432141320765", "0176542345321067", "0172563445361270",
+    "0532614741762503", "0536635041722714", "0136745245723016", "0132764545763201",
+    "0765413243210576", "0761432543250761", "0361542747251063", "0365563047211274",
+    "0725614343612507", "0721635443652710", "0321745647653012", "0325764147613205",
+    "1067453254230176", "1063472554270361", "1463502750271463", "1467523050231674",
+    "1027654354632107", "1023675454672310", "1423705650673412", "1427724150633605",
+    "1270453656340172", "1274472156300365", "1674502352301467", "1670523452341670",
+    "1230654756742103", "1234675056702314", "1634705252703416", "1630724552743601",
+    "2503417661470532", "2507436161430725", "2107546365431027", "2103567465471230",
+    "2543610761072543", "2547631061032754", "2147741265033056", "2143760565073241",
+    "2714417263500536", "2710436563540721", "2310546767541023", "2314567067501234",
+    "2754610363102547", "2750631463142750", "2350741667143052", "2354760167103245",
+    "3016457274520136", "3012476574560321", "3412506770561423", "3416527070521634",
+    "3056650374122147", "3052671474162350", "3452701670163452", "3456720170123645",
+    "3201457676450132", "3205476176410325", "3605506372411427", "3601527472451630",
+    "3241650776052143", "3245671076012354", "3645701272013456", "3641720572053641",
+)
+
+# random_uso(4, random.Random(k)) for k = 0..9, values as hex digits,
+# recorded with the per-vertex composer
+RANDOM_USO4 = (
+    "6f4dba98e3c10527",
+    "bacdef8943610725",
+    "7a451e30b6dcf298",
+    "dc67182345ba90fe",
+    "5c67123094fed8ba",
+    "c9ba8fed50761432",
+    "43210567f8debc9a",
+    "1076c523ba894dfe",
+    "dcbe98fa67542301",
+    "27456301cdaf89eb",
+)
+
+
+def test_connect_facets_and_random_uso_pinned():
+    odd2 = list(enumerate_odd(2))
+    connected = tuple(
+        "".join(f"{x:o}" for seed in (0, 1) for x in connect_facets(lower, upper, seed).values)
+        for lower in odd2
+        for upper in odd2
+    )
+    assert connected == CONNECTED_ODD2
+    drawn = tuple(
+        "".join(f"{x:x}" for x in random_uso(4, random.Random(k)).values) for k in range(10)
+    )
+    assert drawn == RANDOM_USO4
 
 
 # ---------------------------------------------------------------------------
