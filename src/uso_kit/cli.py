@@ -32,7 +32,16 @@ from .constructions import (
     klee_minty,
     odd_family,
 )
-from .cube import MAX_DIM, Outmap, emit_uso, face_sinks, mask_from_coords, parse_uso, value_line
+from .cube import (
+    MAX_DIM,
+    Outmap,
+    _parse_lines,
+    emit_uso,
+    face_sinks,
+    mask_from_coords,
+    parse_uso,
+    value_line,
+)
 from .enumeration import (
     count_table,
     enumerate_class,
@@ -64,7 +73,12 @@ def _read_outmap(path: str) -> Outmap:
 
 
 def read_outmap_stream(text: str) -> list[Outmap]:
-    """Parse concatenated .uso records; blank lines between records are skipped."""
+    """Parse concatenated .uso records; blank lines between records are skipped.
+
+    The text is split into lines once; each record is parsed from its slice
+    of them by the parser behind parse_uso, so a record's FormatError cites
+    its line within the record.
+    """
     lines = text.splitlines()
     outmaps: list[Outmap] = []
     pos = 0
@@ -80,9 +94,8 @@ def read_outmap_stream(text: str) -> list[Outmap]:
             ) from None
         if not 0 <= n <= MAX_DIM:
             raise FormatError(f"record {len(outmaps) + 1}: dimension {n} outside 0..{MAX_DIM}")
-        chunk = lines[pos : pos + 1 + (1 << n)]
         try:
-            outmaps.append(parse_uso("\n".join(chunk) + "\n"))
+            outmaps.append(_parse_lines(lines[pos : pos + 1 + (1 << n)]))
         except FormatError as exc:
             raise FormatError(f"record {len(outmaps) + 1}: {exc}") from None
         pos += 1 + (1 << n)

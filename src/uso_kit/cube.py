@@ -245,7 +245,11 @@ def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
 
 def parse_uso(text: str) -> Outmap:
     """Parse the .uso text format; raises FormatError with a line number."""
-    lines = text.splitlines()
+    return _parse_lines(text.splitlines())
+
+
+def _parse_lines(lines: list[str]) -> Outmap:
+    """Parse one .uso record given as its lines; line numbers count from its header."""
     if not lines:
         raise FormatError("empty input", line=1)
     head = lines[0].strip()
@@ -262,6 +266,11 @@ def parse_uso(text: str) -> Outmap:
             line=len(lines) + 1 if len(lines) - 1 < expected else expected + 2,
         )
     rows = lines[1:]
+    if n <= 10:
+        try:
+            return Outmap(n, tuple(map(_line_values(n).__getitem__, rows)))
+        except KeyError:
+            pass  # a malformed row: the checks below name it
     if set(map(len, rows)) != {n} or "".join(rows).strip("01"):
         # name the first malformed row and character
         for v, row in enumerate(rows):
@@ -279,6 +288,12 @@ def value_line(value: int, n: int) -> str:
     # while reversing puts coordinate 1 first, and n = 0 gives ""
     top = 1 << n
     return format(value & top - 1 | top, "b")[:0:-1]
+
+
+@lru_cache(maxsize=None)
+def _line_values(n: int) -> dict[str, int]:
+    """Value of every n-character .uso line, for parsing (n <= 10: at most 2**10 lines)."""
+    return {value_line(v, n): v for v in range(1 << n)}
 
 
 @lru_cache(maxsize=None)

@@ -40,12 +40,14 @@ streams and tables are deterministic: facet pairs are visited in
 enumeration order.
 
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
-2**n * n! cube symmetries); the canonical form of an outmap is the
+2**n * n! cube symmetries, n <= 5); the canonical form of an outmap is the
 lexicographically smallest .uso body over the orbit.  One batch numpy
-canonicalizer (_canonical_keys) relabels a block of outmaps under every
-symmetry at once by table gathers, packs each relabeled body into uint64
-words that compare like the bodies, and keeps the minimum; canonical
-forms, orbit representatives and the counting orbits all use it.
+canonicalizer (_canonical_keys) works in two exact stages: it gathers body
+positions 0 and 1 under every symmetry and keeps each symmetry whose pair
+is the row's minimum (a body that starts larger cannot be the minimum),
+then packs only the kept bodies into uint64 words that compare like the
+bodies and keeps the minimum.  Canonical forms, orbit representatives and
+the counting orbits all use it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .classes import dual, is_odd
-from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, faces_iter, value_line
+from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, faces_iter
 from .errors import ResourceLimitError
 from .recognition import _face_failures, _puso_rows
 
@@ -349,6 +351,14 @@ def _facet_arrays(m: int):
     return nib, _sink_rows(nib, m)
 
 
+@lru_cache(maxsize=None)
+def _uso_sink_rows(m: int) -> np.ndarray:
+    """Sink table of the full dimension-m USO list (read-only)."""
+    rows = _sink_rows(_uso_values(m), m)
+    rows.flags.writeable = False
+    return rows
+
+
 def _valid_upper_mask(i0: int, nib: np.ndarray, rows: np.ndarray, m: int):
     """Vectorized _compose_valid_pattern of facet i0 against every upper facet.
 
@@ -460,7 +470,7 @@ def count_uso_successor(m: int) -> int:
     if not 0 <= m <= 3:
         raise ResourceLimitError("USO successor counting needs the full list of dimension <= 3")
     values = _uso_values(m)
-    rows = _sink_rows(values, m).tolist()
+    rows = _uso_sink_rows(m).tolist()
     size = 1 << m
     return _orbit_weighted_sum(
         _uso_successor_worker,
@@ -592,14 +602,15 @@ def _reverse_table(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of all 2**n * n! relabelings V -> sigma(V) XOR R.
 
     keyed[x, p] is rev[sigma_p(x)], a value keyed so that numeric order
     matches .uso line order.  source[g, q] says where position q of the
     body relabeled by symmetry g = (sigma_p, R) reads from: vertex
     sigma_p^-1(q XOR R) under permutation p, as a flat index into the
-    (2**n, n!) array keyed[values].
+    (2**n, n!) array keyed[values].  lead is a contiguous copy of source's
+    first two columns (one at n = 0), which a single record gathers faster.
     """
     tables = np.array(_mask_perm_tables(n), dtype=np.intp)
     perms, size = tables.shape
@@ -608,18 +619,26 @@ def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.arange(size)
     source = inverse[:, offsets[:, None] ^ offsets[None, :]] * perms
     source += np.arange(perms)[:, None, None]
-    return keyed, source.reshape(perms * size, size)
+    source = source.reshape(perms * size, size)
+    return keyed, source, np.ascontiguousarray(source[:, :2])
 
 
-def _key_layout(n: int) -> tuple[int, int]:
-    """Bits per body position and positions per uint64 key word.
+@lru_cache(maxsize=None)
+def _key_layout(n: int) -> tuple[int, int, np.ndarray]:
+    """Bits per body position, positions per uint64 key word, and each position's shift.
 
     n <= 4 packs 16 positions x 4 bits into one word; n = 5 packs 12 + 12 + 8
-    positions x 5 bits into three.  Position 0 is most significant, so keys
-    compare like the bodies they pack.
+    positions x 5 bits into three.  Position 0 is most significant and each
+    word's last position sits in its lowest bits, so keys compare like the
+    bodies they pack.
     """
     bits = 4 if n <= 4 else 5
-    return bits, 64 // bits
+    per_word = 64 // bits
+    q = np.arange(1 << n)
+    last = np.minimum((q // per_word + 1) * per_word, 1 << n) - 1
+    shifts = ((last - q) * bits).astype(np.uint64)
+    shifts.flags.writeable = False
+    return bits, per_word, shifts
 
 
 _GATHER_BYTES = 1 << 20  # bound on each batch temporary, to keep peak memory flat
@@ -630,32 +649,44 @@ def _canonical_keys(vals: np.ndarray, n: int) -> np.ndarray:
     """Packed minimal body over the symmetry orbit of every row of vals.
 
     vals is a (k, 2**n) array of outmap values; the result is (k, words)
-    uint64, rows ordered like the canonical bodies they encode.  Rows are
-    relabeled in chunks so no (chunk, group, 2**n) temporary exceeds about
-    _GATHER_BYTES.
+    uint64, rows ordered like the canonical bodies they encode.  Two exact
+    stages: the first gathers only body positions 0 and 1 under every
+    symmetry, as one uint16 head, and keeps each symmetry whose head equals
+    its row's minimum, since only those can reach the minimal body (at
+    most 60 per record on PUSO(5)); the second packs full keys for the
+    kept symmetries alone and takes each row's minimum with one lexsort
+    keyed by row.  Rows go in chunks and the kept symmetries in runs of
+    whole rows, so no temporary of either stage exceeds about _GATHER_BYTES,
+    even when every symmetry ties (an all-zero outmap).
     """
-    keyed, source = _symmetry_gather(n)
-    bits, per_word = _key_layout(n)
-    size = 1 << n
-    out = np.empty((len(vals), -(-size // per_word)), dtype=np.uint64)
-    # per row: the uint8 bodies take group * size bytes, each key word group * 8
-    step = max(1, _GATHER_BYTES // (len(source) * max(size, 8)))
+    keyed, source, lead = _symmetry_gather(n)
+    bits, per_word, shifts = _key_layout(n)
+    group, size = source.shape
+    starts = np.arange(0, size, per_word)
+    out = np.empty((len(vals), len(starts)), dtype=np.uint64)
+    step = max(1, _GATHER_BYTES // (2 * group))  # stage 1: two uint8 positions per symmetry
+    cap = _GATHER_BYTES // (8 * size)  # stage 2: a uint64 body per kept symmetry, >= group
     for lo in range(0, len(vals), step):
-        block = vals[lo : lo + step]
-        bodies = keyed[block].reshape(len(block), -1)[:, source]
-        words = []
-        for start in range(0, size, per_word):
-            word = np.zeros(bodies.shape[:2], dtype=np.uint64)
-            for q in range(start, min(start + per_word, size)):
-                word <<= bits
-                word |= bodies[:, :, q]
-            words.append(word)
-        if len(words) == 1:
-            out[lo : lo + len(block), 0] = words[0].min(axis=1)
-        else:
-            best = np.lexsort(words[::-1], axis=-1)[:, 0]
-            picked = np.arange(len(block))
-            out[lo : lo + len(block)] = np.stack([word[picked, best] for word in words], axis=1)
+        flat = keyed[vals[lo : lo + step]].reshape(-1, group)
+        pair = flat[:, lead]  # positions 0 and 1 (0 alone at n = 0, where -1 picks it again)
+        head = pair[..., 0].astype(np.uint16)
+        head <<= bits
+        head |= pair[..., -1]
+        rows, syms = np.nonzero(head == head.min(axis=1, keepdims=True))
+        counts = np.bincount(rows, minlength=len(flat))
+        ends = np.cumsum(counts)
+        firsts = ends - counts
+        a = 0
+        while a < len(flat):
+            # rows a .. b - 1: as many whole rows of kept symmetries as fit in cap
+            b = max(a + 1, int(np.searchsorted(ends, firsts[a] + cap, side="right")))
+            i, j = firsts[a], ends[b - 1]
+            body = flat[rows[i:j, None], source[syms[i:j]]].astype(np.uint64)
+            body <<= shifts
+            words = np.bitwise_or.reduceat(body, starts, axis=1)
+            order = np.lexsort((*words.T[::-1], rows[i:j]))
+            out[lo + a : lo + b] = words[order[firsts[a:b] - i]]
+            a = b
     return out
 
 
@@ -676,15 +707,15 @@ class CanonicalForm:
 
 def _form_from_key(key, n: int) -> CanonicalForm:
     """Unpack one row of _canonical_keys into its .uso body."""
-    bits, per_word = _key_layout(n)
-    rev = _reverse_table(n)
-    size = 1 << n
-    lines = []
-    for w, word in enumerate(key):
-        count = min(per_word, size - w * per_word)
-        for j in range(count - 1, -1, -1):
-            lines.append(value_line(rev[int(word) >> (j * bits) & (1 << bits) - 1], n))
-    return CanonicalForm(n, ("\n".join(lines) + "\n").encode())
+    bits, per_word, shifts = _key_layout(n)
+    words = np.asarray(key, dtype=np.uint64)[np.arange(1 << n) // per_word]
+    # position q holds rev[value], whose .uso line is its own n-bit binary form
+    top = 1 << n
+    body = "".join(
+        format(code | top, "b")[1:] + "\n"
+        for code in (words >> shifts & np.uint64((1 << bits) - 1)).tolist()
+    )
+    return CanonicalForm(n, body.encode())
 
 
 def canonical_form(phi: Outmap) -> CanonicalForm:
@@ -696,7 +727,7 @@ def canonical_form(phi: Outmap) -> CanonicalForm:
 
 
 def count_orbits(outmaps: Iterable[Outmap]) -> int:
-    """Number of symmetry classes among outmaps of one dimension <= 4."""
+    """Number of symmetry classes among outmaps of one dimension <= 5."""
     return len(orbit_representatives(outmaps))
 
 
@@ -716,8 +747,8 @@ def orbit_representatives(outmaps: Iterable[Outmap]) -> list[CanonicalForm]:
     for phi in outmaps:
         if dim is None:
             dim = phi.n
-            if dim > 4:
-                raise ResourceLimitError("orbit counting is capped at n = 4")
+            if dim > 5:
+                raise ResourceLimitError("orbit counting is capped at n = 5")
         elif phi.n != dim:
             raise ValueError("orbit counting needs outmaps of one common dimension")
         batch.append(phi.values)
@@ -762,10 +793,10 @@ def random_uso(n: int, rng) -> Outmap:
     if n != 4:
         raise ResourceLimitError("random USOs are supported for n <= 4")
     values_list = _uso_values(3)
-    rows = _sink_rows(values_list, 3).tolist()
+    rows = _uso_sink_rows(3)
     i0 = rng.randrange(len(values_list))
     i1 = rng.randrange(len(values_list))
-    parent, _ = _merge_sinks(rows[i0], rows[i1], 8)
+    parent, _ = _merge_sinks(rows[i0].tolist(), rows[i1].tolist(), 8)
 
     def find(x: int) -> int:
         while parent[x] != x:

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -18,12 +19,15 @@ import uso_kit
 from uso_kit import (
     FormatError,
     Outmap,
+    canonical_form,
     count_table,
     emit_uso,
+    flip,
     is_odd,
     is_puso,
     klee_minty,
     parse_uso,
+    random_puso,
 )
 from uso_kit.cli import main, read_outmap_stream
 
@@ -263,6 +267,19 @@ def test_orbits_from_files(tmp_path, capsys):
     assert out.strip() == "orbits: 2"
 
 
+def test_orbits_of_a_dimension_five_stream(tmp_path, capsys):
+    """n = 5 streams reduce in batches; each record's orbit is its canonical_form."""
+    rng = random.Random(55)
+    records = [random_puso(5, rng) for _ in range(12)]
+    records += [flip(phi, 0b10110) for phi in records[:4]] + [klee_minty(5)]
+    path = tmp_path / "five.uso"
+    path.write_text("".join(emit_uso(phi) for phi in records), encoding="utf-8")
+    code, out, _ = run(capsys, "orbits", str(path), "--show")
+    assert code == 0
+    bodies = sorted({canonical_form(phi).body for phi in records})
+    assert out == f"orbits: {len(bodies)}\n" + "".join(f"5\n{body.decode()}" for body in bodies)
+
+
 def test_orbits_requires_input(capsys):
     assert run(capsys, "orbits")[0] == 2
 
@@ -356,6 +373,33 @@ def test_read_outmap_stream_reports_record(capsys):
     with pytest.raises(Exception) as err:
         read_outmap_stream("2\n00\n10\n01\n11\nbogus\n")
     assert "record 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2\n00\n1x\n01\n11\n", "record 1: line 3: invalid character 'x'"),
+        (
+            "1\n0\n1\n2\n00\n10\n",
+            "record 2: line 4: expected 4 vertex lines for dimension 2, got 2",
+        ),
+        ("1\n0\n11\n", "record 1: line 3: expected exactly 1 characters, got 2"),
+        ("30\n", "record 1: dimension 30 outside 0..20"),
+        ("0\n1\n", "record 1: line 2: expected exactly 0 characters, got 1"),
+        ("1\n0\n1\n\n\n1\n1\n \n", "record 2: line 3: invalid character ' '"),
+        ("2\r\n00\r\n10\r\n01\r\n1\u0661\r\n", "record 1: line 5: invalid character '\u0661'"),
+        # above n = 10 rows skip the line table
+        (
+            "11\n" + "0" * 11 + "\n" + ("1" * 10 + "2\n") * 2047,
+            "record 1: line 3: invalid character '2'",
+        ),
+    ],
+)
+def test_read_outmap_stream_error_texts(text, message):
+    """Each malformed record is named by its index and its line within the record."""
+    with pytest.raises(FormatError) as err:
+        read_outmap_stream(text)
+    assert str(err.value) == message
 
 
 @given(st.lists(st.tuples(st.integers(0, 2), outmaps(4)), max_size=6), st.integers(0, 2))

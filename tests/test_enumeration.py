@@ -2,9 +2,12 @@
 
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uso_kit import (
     CountRow,
@@ -390,6 +393,13 @@ def test_uso_four_dimensional_count():
     assert enumeration._uso_successor_worker((rows, 8, 0, 744)) == 5_541_744
 
 
+def test_uso_sink_table_is_cached():
+    """count_uso_successor and random_uso share one sink table per dimension."""
+    sinks = enumeration._uso_sink_rows(3)
+    assert enumeration._uso_sink_rows(3) is sinks and not sinks.flags.writeable
+    assert (sinks == enumeration._sink_rows(enumeration._uso_values(3), 3)).all()
+
+
 def test_odd_successor_count_matches_full_range_sum():
     nib, rows = enumeration._facet_arrays(3)
     assert count_odd_successor(3) == enumeration._odd_successor_worker((nib, rows, 3, 0, 112))
@@ -490,6 +500,42 @@ def _scalar_canonical_body(phi: Outmap) -> bytes:
     return body.encode()
 
 
+# the reference's own chunk budget, so that patching _GATHER_BYTES leaves it alone
+_REFERENCE_BYTES = 1 << 20
+
+
+def _unpruned_keys(vals: np.ndarray, n: int) -> np.ndarray:
+    """Reference batch canonicalizer: every relabeled body packed into keys, then minimized.
+
+    All 2**n * n! bodies of every row are packed position by position into
+    the same uint64 key words as _canonical_keys, so no symmetry is skipped.
+    """
+    keyed, source, _ = enumeration._symmetry_gather(n)
+    bits = 4 if n <= 4 else 5
+    per_word = 64 // bits
+    size = 1 << n
+    out = np.empty((len(vals), -(-size // per_word)), dtype=np.uint64)
+    # per row: the uint8 bodies take group * size bytes, each key word group * 8
+    step = max(1, _REFERENCE_BYTES // (len(source) * max(size, 8)))
+    for lo in range(0, len(vals), step):
+        block = vals[lo : lo + step]
+        bodies = keyed[block].reshape(len(block), -1)[:, source]
+        words = []
+        for start in range(0, size, per_word):
+            word = np.zeros(bodies.shape[:2], dtype=np.uint64)
+            for q in range(start, min(start + per_word, size)):
+                word <<= bits
+                word |= bodies[:, :, q]
+            words.append(word)
+        if len(words) == 1:
+            out[lo : lo + len(block), 0] = words[0].min(axis=1)
+        else:
+            best = np.lexsort(words[::-1], axis=-1)[:, 0]
+            picked = np.arange(len(block))
+            out[lo : lo + len(block)] = np.stack([word[picked, best] for word in words], axis=1)
+    return out
+
+
 @pytest.fixture(scope="module")
 def canonical_samples():
     """Outmaps of several classes and dimensions with their reference bodies."""
@@ -517,10 +563,96 @@ def test_canonical_form_matches_scalar_oracle(canonical_samples):
 
 def test_orbit_representatives_match_scalar_oracle(canonical_samples):
     for name, pairs in canonical_samples.items():
-        if pairs[0][0].n > 4:
-            continue
         reps = orbit_representatives(phi for phi, _ in pairs)
         assert [rep.body for rep in reps] == sorted({body for _, body in pairs}), name
+
+
+@st.composite
+def _outmap_blocks(draw):
+    """A dimension n <= 5 and a block of value rows: random, constant or all zero."""
+    n = draw(st.integers(0, 5))
+    size = 1 << n
+    value = st.integers(0, size - 1)
+    row = st.one_of(
+        st.lists(value, min_size=size, max_size=size),
+        value.map(lambda v: [v] * size),
+        st.just([0] * size),
+    )
+    return n, draw(st.lists(row, min_size=1, max_size=40))
+
+
+@given(_outmap_blocks(), st.sampled_from((1 << 12, 1 << 15, enumeration._GATHER_BYTES)))
+@settings(max_examples=80, deadline=None)
+def test_pruned_keys_match_unpruned_reference(block, budget):
+    """Small budgets split a block into several chunks, and stage 2 into several runs."""
+    n, rows = block
+    vals = np.array(rows, dtype=np.uint8)
+    with mock.patch.object(enumeration, "_GATHER_BYTES", budget):
+        keys = enumeration._canonical_keys(vals, n)
+    assert (keys == _unpruned_keys(vals, n)).all()
+
+
+def test_pruned_keys_match_unpruned_reference_beyond_one_chunk():
+    """150 rows at n = 5 span two default chunks; all-zero rows tie every symmetry."""
+    rng = random.Random(0x5EED)
+    rows = [random_puso(5, rng).values for _ in range(120)]
+    rows += [(0,) * 32] * 20 + [(rng.randrange(32),) * 32 for _ in range(10)]
+    rng.shuffle(rows)
+    vals = np.array(rows, dtype=np.uint8)
+    assert len(vals) > enumeration._GATHER_BYTES // (2 * 3840)
+    assert (enumeration._canonical_keys(vals, 5) == _unpruned_keys(vals, 5)).all()
+
+
+def _relabelings(values, n: int) -> np.ndarray:
+    """All 2**n * n! relabelings V -> sigma(V) XOR R of one outmap, one per row."""
+    size = 1 << n
+    tables = np.array(
+        [
+            [sum(1 << perm[i] for i in range(n) if mask >> i & 1) for mask in range(size)]
+            for perm in itertools.permutations(range(n))
+        ]
+    )
+    # relabeled[sigma(V) XOR R] = sigma(values[V])
+    where = tables[:, None, :] ^ np.arange(size)[None, :, None]
+    images = np.broadcast_to(tables[:, list(values)][:, None, :], where.shape)
+    out = np.empty(where.shape, dtype=np.int64)
+    np.put_along_axis(out, where, images, axis=2)
+    return out.reshape(-1, size)
+
+
+def test_puso5_orbits_by_relabeling_and_orbit_stabilizer():
+    """PUSO(5), the 25856 doublings extend_border(dual(phi), bit) of odd(4), by a second method.
+
+    Orbits are found by relabeling each outmap under all 3840 symmetries.
+    The reference key of an outmap is its orbit's minimum, so the reference
+    run on one member per orbit gives the key every member must get.
+    """
+    outmaps = [extend_border(dual(phi), bit).values for phi in enumerate_odd(4) for bit in (0, 1)]
+    index = {values: i for i, values in enumerate(outmaps)}
+    assert len(index) == 25856
+    orbit = np.full(len(outmaps), -1)
+    firsts = []
+    for i, values in enumerate(outmaps):
+        if orbit[i] < 0:
+            # a KeyError here would mean an image outside PUSO(5)
+            members = sorted({index[tuple(row)] for row in _relabelings(values, 5).tolist()})
+            assert (orbit[members] == -1).all()
+            orbit[members] = len(firsts)
+            firsts.append(i)
+    assert len(firsts) == 18
+    vals = np.array(outmaps, dtype=np.uint8)
+    reference = _unpruned_keys(vals[firsts], 5)
+    assert len(np.unique(reference, axis=0)) == 18
+    assert (enumeration._canonical_keys(vals, 5) == reference[orbit]).all()
+    # orbit-stabilizer: |Stab| symmetries reach the minimal body
+    keyed, source, _ = enumeration._symmetry_gather(5)
+    total = 0
+    for k, i in enumerate(firsts):
+        bodies = [bytes(body) for body in keyed[vals[i]].reshape(-1)[source].tolist()]
+        stab = bodies.count(min(bodies))
+        assert 3840 % stab == 0 and 3840 // stab == (orbit == k).sum()
+        total += 3840 // stab
+    assert total == 25856
 
 
 def test_orbit_representatives_across_batches():
@@ -603,7 +735,7 @@ def test_orbit_validation():
     with pytest.raises(ValueError):
         count_orbits([Outmap(1, (1, 0)), Outmap(2, (0, 1, 3, 2))])
     with pytest.raises(ResourceLimitError):
-        count_orbits([klee_minty(5)])
+        count_orbits([klee_minty(6)])
     with pytest.raises(ResourceLimitError):
         canonical_form(klee_minty(6))
 
