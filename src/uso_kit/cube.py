@@ -271,6 +271,14 @@ def _parse_lines(lines: list[str]) -> Outmap:
             return Outmap(n, tuple(map(_line_values(n).__getitem__, rows)))
         except KeyError:
             pass  # a malformed row: the checks below name it
+    else:
+        # each row and its newline as n + 1 bytes ("?" for non-ASCII); once the first n bytes
+        # of every row are "0"/"1" (only they are <= 1 after - 48), the newlines fill the rest
+        codes = np.frombuffer(("\n".join(rows) + "\n").encode("ascii", "replace"), np.uint8)
+        if codes.size == expected * (n + 1):
+            digits = codes.reshape(expected, n + 1)[:, :n] - np.uint8(48)
+            if (digits <= 1).all():
+                return Outmap(n, tuple((digits @ (1 << np.arange(n))).tolist()))
     if set(map(len, rows)) != {n} or "".join(rows).strip("01"):
         # name the first malformed row and character
         for v, row in enumerate(rows):

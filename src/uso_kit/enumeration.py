@@ -30,9 +30,10 @@ n = 3 in full and for n = 5 on a sample.
 
 Counting uses the same composition idea without materializing outmaps:
 USO counts sum 2**(components of the sink-agreement graph) over ordered
-facet pairs, found by one union-find (_merge_sinks) that random_uso also
-uses; odd counts sum the pair filter's survivors.  A cube symmetry that
-fixes the new coordinate acts on both facets at once, so a lower facet's
+facet pairs, found by one numpy union-find (_sink_components) that joins
+a lower facet with all upper facets at once and gives random_uso the
+roots of one pair; odd counts sum the pair filter's survivors.  A cube
+symmetry that fixes the new coordinate acts on both facets, so a lower facet's
 total over all upper facets is constant on its symmetry orbit: each orbit
 of the facet list is evaluated once, at its first member, and weighted by
 its size (19 orbits of 3-USOs, 35 of odd 4-USOs), in one process.  All
@@ -413,35 +414,35 @@ def _odd_successor_worker(args) -> int:
     return total
 
 
-def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
-    """Union-find over facet vertices: join each face's sink in the lower
-    facet (row0) with that face's sink in the upper facet (row1).
+def _sink_components(row0, rows1, size: int) -> np.ndarray:
+    """Union-find over facet vertices for one lower facet and k upper facets at once.
 
-    Returns the forest (parent list) and its number of components; all
-    connecting edges of one component must point the same way.
+    Each face joins its sink in the lower facet (row0) with its sink in
+    upper facet j (row j of rows1); a component's connecting edges all
+    point the same way.  Returns the (k, size) fully compressed roots: a
+    union turns every root equal to the lower sink's root ra into the upper
+    sink's root rb, as parent[ra] = rb does in the scalar forest, so the
+    roots are that forest's.  Each component has one vertex that is its root.
     """
-    parent = list(range(size))
-    comps = size
-    for a, b in zip(row0, row1):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[a] = b
-            comps -= 1
-    return parent, comps
+    k = len(rows1)
+    # vertex-major: roots[v, j] is the root of vertex v for upper facet j
+    roots = np.repeat(np.arange(size, dtype=np.uint8)[:, None], k, axis=1)
+    sinks = rows1.T.astype(np.intp) * k + np.arange(k)  # flat index of each upper sink
+    for a, at in zip(row0.tolist(), sinks):
+        ra = roots[a]
+        # xor by ra ^ rb turns exactly the entries equal to ra into rb
+        roots ^= (roots == ra) * (ra ^ roots.ravel().take(at))
+    return roots.T
 
 
 def _uso_successor_worker(args) -> int:
     rows, size, lo, hi = args
+    rows = np.asarray(rows, dtype=np.uint8)
+    verts = np.arange(size)
     total = 0
     for i0 in range(lo, hi):
-        row0 = rows[i0]
-        for row1 in rows:
-            total += 1 << _merge_sinks(row0, row1, size)[1]
+        comps = (_sink_components(rows[i0], rows, size) == verts).sum(axis=1)
+        total += int((1 << comps).sum())
     return total
 
 
@@ -469,14 +470,9 @@ def count_uso_successor(m: int) -> int:
     """
     if not 0 <= m <= 3:
         raise ResourceLimitError("USO successor counting needs the full list of dimension <= 3")
-    values = _uso_values(m)
-    rows = _uso_sink_rows(m).tolist()
-    size = 1 << m
+    rows, vals = _uso_sink_rows(m), np.asarray(_uso_values(m), dtype=np.uint8)
     return _orbit_weighted_sum(
-        _uso_successor_worker,
-        lambda lo, hi: (rows, size, lo, hi),
-        np.asarray(values, dtype=np.uint8),
-        m,
+        _uso_successor_worker, lambda lo, hi: (rows, 1 << m, lo, hi), vals, m
     )
 
 
@@ -521,7 +517,7 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     """Exact class counts per dimension up to max_n (<= 5).
 
     uso(4) and odd(5) are opt-ins ("uso4", "odd5"), orbit-weighted sums
-    that take about 0.05 s and 0.3 s; cells not covered by the current scope
+    that take about 0.005 s and 0.3 s; cells not covered by the current scope
     are None.  An opt-in whose row lies above max_n is refused with
     ValueError.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
     n >= 2 is always filled when odd(n - 1) is, and is cross-verified
@@ -796,15 +792,9 @@ def random_uso(n: int, rng) -> Outmap:
     rows = _uso_sink_rows(3)
     i0 = rng.randrange(len(values_list))
     i1 = rng.randrange(len(values_list))
-    parent, _ = _merge_sinks(rows[i0].tolist(), rows[i1].tolist(), 8)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    root_bits = {root: rng.getrandbits(1) for root in {find(v) for v in range(8)}}
-    pattern = sum(root_bits[find(v)] << v for v in range(8))
+    roots = _sink_components(rows[i0], rows[i1 : i1 + 1], 8)[0].tolist()
+    root_bits = {root: rng.getrandbits(1) for root in sorted(set(roots))}
+    pattern = sum(root_bits[root] << v for v, root in enumerate(roots))
     block = _compose_block(values_list[i0], np.array([values_list[i1]]), np.array([pattern]), 3)
     return Outmap(4, tuple(block[0].tolist()))
 

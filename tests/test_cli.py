@@ -393,6 +393,24 @@ def test_read_outmap_stream_reports_record(capsys):
             "11\n" + "0" * 11 + "\n" + ("1" * 10 + "2\n") * 2047,
             "record 1: line 3: invalid character '2'",
         ),
+        (
+            "11\n" + "0" * 12 + "\n" + ("0" * 11 + "\n") * 2047,
+            "record 1: line 2: expected exactly 11 characters, got 12",
+        ),
+        # a short row next to a long one: the total length is right
+        (
+            "11\n" + ("0" * 11 + "\n") * 5 + "0" * 10 + "\n" + "0" * 12 + "\n"
+            + ("0" * 11 + "\n") * 2041,
+            "record 1: line 7: expected exactly 11 characters, got 10",
+        ),
+        (
+            "11\n" + ("0" * 11 + "\n") * 3 + "0" * 10 + "\u0661\n" + ("0" * 11 + "\n") * 2044,
+            "record 1: line 5: invalid character '\u0661'",
+        ),
+        (
+            "11\r\n" + ("0" * 11 + "\r\n") * 2046 + "0" * 10 + "x\r\n" + "0" * 11 + "\r\n",
+            "record 1: line 2048: invalid character 'x'",
+        ),
     ],
 )
 def test_read_outmap_stream_error_texts(text, message):

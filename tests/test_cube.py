@@ -235,6 +235,17 @@ def test_parse_emit_round_trip(phi):
     assert parse_uso(emit_uso(phi)) == phi
 
 
+@given(st.sampled_from([11, 12]), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 1.0]))
+@settings(max_examples=30, deadline=None)
+def test_parse_emit_round_trip_above_the_line_table(n, seed, ones):
+    """Above n = 10 rows decode in one numpy step, all-ones values included."""
+    rng = random.Random(seed)
+    full = full_mask(n)
+    values = tuple(full if rng.random() < ones else rng.getrandbits(n) for _ in range(1 << n))
+    phi = Outmap(n, values)
+    assert parse_uso(emit_uso(phi)) == phi
+
+
 def _emit_reference(phi: Outmap) -> str:
     """.uso text with one value_line call per vertex."""
     return "\n".join([str(phi.n), *(value_line(v, phi.n) for v in phi.values)]) + "\n"

@@ -400,6 +400,61 @@ def test_uso_sink_table_is_cached():
     assert (sinks == enumeration._sink_rows(enumeration._uso_values(3), 3)).all()
 
 
+def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
+    """Scalar union-find over facet vertices: join each face's sink in the
+    lower facet (row0) with that face's sink in the upper facet (row1).
+
+    Returns the forest (parent list) and its number of components.  The
+    reference the batched _sink_components is tested against.
+    """
+    parent = list(range(size))
+    comps = size
+    for a, b in zip(row0, row1):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a != b:
+            parent[a] = b
+            comps -= 1
+    return parent, comps
+
+
+def _assert_components_match_scalar(m: int, lower_facets) -> None:
+    rows = enumeration._uso_sink_rows(m)
+    size = 1 << m
+    row_list = rows.tolist()
+    for i0 in lower_facets:
+        roots = enumeration._sink_components(rows[i0], rows, size)
+        assert roots.shape == (len(row_list), size)
+        for row1, got in zip(row_list, roots.tolist()):
+            parent, comps = _merge_sinks(row_list[i0], row1, size)
+            want = []
+            for v in range(size):
+                while parent[v] != v:
+                    v = parent[v]
+                want.append(v)
+            assert got == want
+            assert sum(root == v for v, root in enumerate(got)) == comps
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_sink_components_match_scalar_union_find(m):
+    """Every ordered facet pair: same roots and component counts as the scalar forest."""
+    _assert_components_match_scalar(m, range(len(enumeration._uso_values(m))))
+
+
+def test_sink_components_match_scalar_union_find_m3():
+    """The 19 orbit representatives and 40 seeded lower facets, each against all 744 uppers."""
+    vals = np.asarray(enumeration._uso_values(3), dtype=np.uint8)
+    _, firsts = np.unique(enumeration._canonical_keys(vals, 3), axis=0, return_index=True)
+    assert len(firsts) == 19
+    seeded = random.Random(3).sample(range(744), 40)
+    _assert_components_match_scalar(3, [*firsts.tolist(), *seeded])
+
+
 def test_odd_successor_count_matches_full_range_sum():
     nib, rows = enumeration._facet_arrays(3)
     assert count_odd_successor(3) == enumeration._odd_successor_worker((nib, rows, 3, 0, 112))
