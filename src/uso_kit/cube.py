@@ -273,21 +273,22 @@ def _parse_lines(lines: list[str]) -> Outmap:
             pass  # a malformed row: the checks below name it
     else:
         # each row and its newline as n + 1 bytes ("?" for non-ASCII); once the first n bytes
-        # of every row are "0"/"1" (only they are <= 1 after - 48), the newlines fill the rest
+        # of every row are "0"/"1" (48/49), the newlines fill the rest
         codes = np.frombuffer(("\n".join(rows) + "\n").encode("ascii", "replace"), np.uint8)
         if codes.size == expected * (n + 1):
-            digits = codes.reshape(expected, n + 1)[:, :n] - np.uint8(48)
-            if (digits <= 1).all():
-                return Outmap(n, tuple((digits @ (1 << np.arange(n))).tolist()))
-    if set(map(len, rows)) != {n} or "".join(rows).strip("01"):
-        # name the first malformed row and character
-        for v, row in enumerate(rows):
-            if len(row) != n:
-                raise FormatError(f"expected exactly {n} characters, got {len(row)}", line=v + 2)
-            for ch in row:
-                if ch not in "01":
-                    raise FormatError(f"invalid character {ch!r}", line=v + 2)
-    return Outmap(n, tuple(int(row[::-1], 2) for row in rows) if n else (0,))
+            digits = codes.reshape(expected, n + 1)[:, :n]  # a view: no copy of the record
+            if digits.min() >= 48 and digits.max() <= 49:
+                # one column at a time, so no temporary holds more than one uint32 per row
+                values = sum((digits[:, i] & 1).astype(np.uint32) << i for i in range(n))
+                return Outmap(n, tuple(values.tolist()))
+    # some row is malformed: name the first one and its first bad character
+    for v, row in enumerate(rows):
+        if len(row) != n:
+            raise FormatError(f"expected exactly {n} characters, got {len(row)}", line=v + 2)
+        for ch in row:
+            if ch not in "01":
+                raise FormatError(f"invalid character {ch!r}", line=v + 2)
+    raise AssertionError("unreachable: every row is n characters of 0/1")
 
 
 def value_line(value: int, n: int) -> str:
