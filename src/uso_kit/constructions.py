@@ -11,9 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cube import Outmap, full_mask
-from .errors import NotAUsoError, PreconditionViolatedError
+from .cube import MAX_DIM, Outmap, full_mask
+from .errors import NotAUsoError, PreconditionViolatedError, ResourceLimitError
 from .recognition import is_uso_fast
+
+
+def _check_dimension(n: int) -> None:
+    """Refuse a cube dimension before any of its 2**n values is built."""
+    if n < 0:
+        raise ValueError(f"dimension {n} is negative")
+    if n > MAX_DIM:
+        raise ResourceLimitError(f"dimension {n} exceeds the cap of {MAX_DIM}")
 
 
 def flip(phi: Outmap, r: int) -> Outmap:
@@ -79,6 +87,7 @@ def cyclic_puso(n: int, perm: CyclicPermutation | None = None) -> Outmap:
     Coordinate i is outgoing at V iff exactly one of i, perm(i) lies in V.
     Defaults to the shift cycle i -> i mod n + 1.
     """
+    _check_dimension(n)
     if n < 2:
         raise ValueError("cyclic PUSOs need dimension >= 2")
     if perm is None:
@@ -97,6 +106,7 @@ def cyclic_puso(n: int, perm: CyclicPermutation | None = None) -> Outmap:
 
 def klee_minty(n: int) -> Outmap:
     """Klee-Minty cube: coordinate j is outgoing at V iff |V intersect {j..n}| is odd."""
+    _check_dimension(n)
     values = []
     for v in range(1 << n):
         value = 0
@@ -172,8 +182,10 @@ def hamming_codewords(n: int) -> CodewordSet:
     """Kernel of the parity-check matrix whose column j is the binary expansion of j.
 
     Requires n = 2**k with k >= 2; block length is n - 1 and the code has
-    2**(n - 1 - k) words of pairwise Hamming distance >= 3.
+    2**(n - 1 - k) words of pairwise Hamming distance >= 3.  The block
+    length is the dimension of the family's cube, so it is checked first.
     """
+    _check_dimension(n - 1)
     if n < 4 or n & (n - 1):
         raise ValueError("the code is defined for n = 2**k with k >= 2")
     k = n.bit_length() - 1

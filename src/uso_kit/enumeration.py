@@ -2,11 +2,10 @@
 
 Enumeration strategy by dimension:
 
-* n <= 2: brute force over all (2**n)**(2**n) outmap functions, filtered
-  by one call of the batch face kernel (as are the PUSOs among the
-  orientations for n <= 3).
-* n == 3 USOs: backtracking over the 12 edge orientations with unique-sink
-  pruning on every completed 2-face, then a global sink check at the leaves.
+* n <= 2 USOs: brute force over all (2**n)**(2**n) outmap functions,
+  filtered by one call of the batch face kernel.
+* n == 3 USOs and n <= 3 PUSOs: the same kernel call over all
+  2**(n * 2**(n-1)) orientations, one per edge-direction word.
 * n >= 3 odd USOs: compose every ordered pair of (n-1)-dimensional odd USOs
   into opposite facets.  The connecting-edge pattern is forced up to a
   global flip because every spanning 2-face of an odd USO must be a bow
@@ -61,7 +60,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .classes import dual, is_odd
-from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, faces_iter
+from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, parse_uso
 from .errors import ResourceLimitError
 from .recognition import _face_failures, _puso_rows
 
@@ -110,64 +109,24 @@ def enumerate_orientations(n: int) -> Iterator[Outmap]:
         yield Outmap(n, tuple(row))
 
 
-def _usos_by_backtracking_3() -> Iterator[Outmap]:
-    """Backtracking over the 12 edge orientations of the 3-cube.
-
-    Edges are assigned in vertex-major order; whenever the last edge of a
-    2-face is placed the face must have exactly one sink, and a leaf
-    survives iff the whole cube also has exactly one sink (all proper
-    faces being vertices, edges, or already-checked 2-faces).
-    """
-    edges = _edge_list(3)
-    edge_index = {e: i for i, e in enumerate(edges)}
-    completions: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in edges]
-    for face in faces_iter(3, min_dim=2):
-        if face.dim != 2:
-            continue
-        verts = tuple(face.vertices())
-        members = []
-        for v in verts:
-            for pos in range(3):
-                if face.carrier >> pos & 1 and not v >> pos & 1:
-                    members.append(edge_index[(v, pos)])
-        completions[max(members)].append((face.carrier, verts))
-
-    values = [0] * 8
-    out: list[Outmap] = []
-
-    def descend(depth: int) -> None:
-        if depth == len(edges):
-            if sum(1 for v in range(8) if not values[v]) == 1:
-                out.append(Outmap(3, tuple(values)))
-            return
-        v, pos = edges[depth]
-        bit = 1 << pos
-        for owner in (v, v | bit):
-            values[owner] |= bit
-            good = True
-            for carrier, verts in completions[depth]:
-                if sum(1 for w in verts if not values[w] & carrier) != 1:
-                    good = False
-                    break
-            if good:
-                descend(depth + 1)
-            values[owner] &= ~bit
-        return
-
-    descend(0)
-    yield from out
-
-
 def enumerate_usos(n: int) -> Iterator[Outmap]:
-    """All USOs of the n-cube in a fixed documented order (n <= 3)."""
+    """All USOs of the n-cube (n <= 3), filtered by one call of the face kernel.
+
+    n <= 2 filters every outmap function and keeps lexicographic value
+    order.  n = 3 filters every orientation and orders the 744 USOs by
+    their edges in _edge_list order, edge 0 first, an edge pointing up
+    before one pointing down.
+    """
     if n > 3:
         raise ResourceLimitError("exhaustive USO enumeration is capped at n = 3")
-    if n <= 2:
-        vals = _function_values(n)
-        for row in vals[~_face_failures(vals, n).any(axis=1)].tolist():
-            yield Outmap(n, tuple(row))
-        return
-    yield from _usos_by_backtracking_3()
+    vals = _function_values(n) if n <= 2 else _orientation_values(n)
+    vals = vals[~_face_failures(vals, n).any(axis=1)]
+    if n == 3:
+        # column idx reads 1 where the upper endpoint owns edge idx; lexsort's
+        # last key is its primary one
+        vals = vals[np.lexsort([vals[:, v] >> pos & 1 ^ 1 for v, pos in _edge_list(n)[::-1]])]
+    for row in vals.tolist():
+        yield Outmap(n, tuple(row))
 
 
 def enumerate_pusos(n: int) -> Iterator[Outmap]:
@@ -437,7 +396,6 @@ def _sink_components(row0, rows1, size: int) -> np.ndarray:
 
 def _uso_successor_worker(args) -> int:
     rows, size, lo, hi = args
-    rows = np.asarray(rows, dtype=np.uint8)
     verts = np.arange(size)
     total = 0
     for i0 in range(lo, hi):
@@ -574,30 +532,6 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
 
 
 @lru_cache(maxsize=None)
-def _mask_perm_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each coordinate permutation, the induced map on coordinate masks."""
-    tables = []
-    for perm in itertools.permutations(range(n)):
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            image = 0
-            for src in range(n):
-                if mask >> src & 1:
-                    image |= 1 << perm[src]
-            table[mask] = image
-        tables.append(tuple(table))
-    return tuple(tables)
-
-
-@lru_cache(maxsize=None)
-def _reverse_table(n: int) -> tuple[int, ...]:
-    """Bit reversal within width n: mask order <-> .uso line lexicographic order."""
-    return tuple(
-        sum(((mask >> i) & 1) << (n - 1 - i) for i in range(n)) for mask in range(1 << n)
-    )
-
-
-@lru_cache(maxsize=None)
 def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of all 2**n * n! relabelings V -> sigma(V) XOR R.
 
@@ -608,9 +542,13 @@ def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (2**n, n!) array keyed[values].  lead is a contiguous copy of source's
     first two columns (one at n = 0), which a single record gathers faster.
     """
-    tables = np.array(_mask_perm_tables(n), dtype=np.intp)
+    # tables[p, mask] is the image of the coordinate set mask under permutation p
+    images = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    tables = (bits << images[:, None, :]).sum(axis=2)
     perms, size = tables.shape
-    keyed = np.array(_reverse_table(n), dtype=np.uint8)[tables.T]
+    # the last permutation, i -> n - 1 - i, reverses bits: mask order <-> .uso line order
+    keyed = tables[-1].astype(np.uint8)[tables.T]
     inverse = np.argsort(tables, axis=1)
     offsets = np.arange(size)
     source = inverse[:, offsets[:, None] ^ offsets[None, :]] * perms
@@ -694,11 +632,7 @@ class CanonicalForm:
     body: bytes
 
     def to_outmap(self) -> Outmap:
-        lines = self.body.decode().splitlines()
-        values = tuple(
-            sum(1 << pos for pos, ch in enumerate(line) if ch == "1") for line in lines
-        )
-        return Outmap(self.n, values)
+        return parse_uso(f"{self.n}\n" + self.body.decode())
 
 
 def _form_from_key(key, n: int) -> CanonicalForm:

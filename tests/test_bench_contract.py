@@ -60,7 +60,7 @@ def test_benchmark_entry_points_and_call_shapes():
         assert int(valid.sum()) == filtered[0]
         assert int(patterns.max()) < 1 << 16
 
-        uso_rows = enumeration._sink_rows(enumeration._uso_values(2), 2).tolist()
+        uso_rows = enumeration._sink_rows(enumeration._uso_values(2), 2)
         assert enumeration._uso_successor_worker((uso_rows, 4, 0, len(uso_rows))) == 744
 
         table = enumeration.count_table(3, (), 1)

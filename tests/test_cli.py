@@ -183,6 +183,23 @@ def test_gen_flip(tmp_path, capsys):
     assert parse_uso(out).values == (3, 2, 0, 1)
 
 
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (("km", "--n", "21"), 3, "dimension 21 exceeds"),
+        (("cyclic", "--n", "21"), 3, "dimension 21 exceeds"),
+        (("family", "--n", "32"), 3, "dimension 31 exceeds"),
+        (("family", "--n", "32", "--list-codewords"), 3, "dimension 31 exceeds"),
+        (("km", "--n", "-1"), 2, "dimension -1 is negative"),
+    ],
+)
+def test_gen_refuses_bad_dimensions_up_front(capsys, argv, code, text):
+    """Refused before any value is built: family 32 would loop over 2**26 data words."""
+    got, out, err = run(capsys, "gen", *argv)
+    assert (got, out) == (code, "")
+    assert text in err
+
+
 # ---------------------------------------------------------------------------
 # count
 

@@ -102,6 +102,14 @@ def test_batch_filters_match_the_per_outmap_filter():
             if is_uso_naive(phi).verdict is Verdict.USO
         ]
         assert list(enumerate_usos(n)) == want
+    # n = 3 orders by the edge word: per edge, vertex-major, 1 where it points down
+    edges = [(v, pos) for v in range(8) for pos in range(3) if not v >> pos & 1]
+    want = sorted(
+        (phi for phi in enumerate_orientations(3) if is_uso_naive(phi).verdict is Verdict.USO),
+        key=lambda phi: [1 - (phi.values[v] >> pos & 1) for v, pos in edges],
+    )
+    assert len(want) == 744
+    assert list(enumerate_usos(3)) == want
     for n in range(4):
         want = [
             phi for phi in enumerate_orientations(n)
@@ -389,7 +397,7 @@ def test_uso_four_dimensional_count():
     """The first value beyond direct enumeration, from facet-pair composition."""
     assert count_uso_successor(3) == 5_541_744
     # the orbit-weighted sum against the full unweighted sum over all 744 x 744 pairs
-    rows = enumeration._sink_rows(enumeration._uso_values(3), 3).tolist()
+    rows = enumeration._sink_rows(enumeration._uso_values(3), 3)
     assert enumeration._uso_successor_worker((rows, 8, 0, 744)) == 5_541_744
 
 
@@ -469,7 +477,7 @@ def test_lower_facet_totals_are_constant_on_orbits(kind, m, orbits):
     """What orbit weighting rests on, with orbits found by the scalar canonicalizer."""
     if kind == "uso":
         values = enumeration._uso_values(m)
-        rows = enumeration._sink_rows(values, m).tolist()
+        rows = enumeration._sink_rows(values, m)
         totals = [
             enumeration._uso_successor_worker((rows, 1 << m, i, i + 1)) for i in range(len(values))
         ]
@@ -536,13 +544,32 @@ def test_count_table_refuses_opt_ins_above_max_n(max_n, opt_in):
 # canonical forms and orbits
 
 
+def _scalar_tables(n: int) -> tuple[list[int], list[list[int]]]:
+    """Bit reversal within width n, and each coordinate permutation's map on masks."""
+    rev = [sum((mask >> i & 1) << (n - 1 - i) for i in range(n)) for mask in range(1 << n)]
+    tables = []
+    for perm in itertools.permutations(range(n)):
+        table = []
+        for mask in range(1 << n):
+            image = 0
+            for src in range(n):
+                if mask >> src & 1:
+                    image |= 1 << perm[src]
+            table.append(image)
+        tables.append(table)
+    return rev, tables
+
+
 def _scalar_canonical_body(phi: Outmap) -> bytes:
-    """Reference canonicalizer: every relabeled byte body, minimized one by one."""
+    """Reference canonicalizer: every relabeled byte body, minimized one by one.
+
+    Its tables come from scalar loops, not from the canonicalizer it checks.
+    """
     n = phi.n
     size = 1 << n
-    rev = enumeration._reverse_table(n)
+    rev, tables = _scalar_tables(n)
     best: bytes | None = None
-    for table in enumeration._mask_perm_tables(n):
+    for table in tables:
         keyed = [rev[table[value]] for value in phi.values]
         for r in range(size):
             cand = bytearray(size)
