@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cube import MAX_DIM, Outmap, full_mask
 from .errors import NotAUsoError, PreconditionViolatedError, ResourceLimitError
 from .recognition import is_uso_fast
@@ -94,28 +96,24 @@ def cyclic_puso(n: int, perm: CyclicPermutation | None = None) -> Outmap:
         perm = CyclicPermutation.shift(n)
     if perm.n != n:
         raise ValueError(f"cycle length {perm.n} does not match dimension {n}")
-    values = []
-    for v in range(1 << n):
-        value = 0
-        for i in range(1, n + 1):
-            if ((v >> (i - 1)) ^ (v >> (perm(i) - 1))) & 1:
-                value |= 1 << (i - 1)
-        values.append(value)
-    return Outmap(n, tuple(values))
+    v = np.arange(1 << n)
+    # bit i - 1 of moved is bit perm(i) - 1 of v
+    moved = np.zeros_like(v)
+    for i in range(1, n + 1):
+        moved |= (v >> (perm(i) - 1) & 1) << (i - 1)
+    return Outmap(n, tuple((v ^ moved).tolist()))
 
 
 def klee_minty(n: int) -> Outmap:
     """Klee-Minty cube: coordinate j is outgoing at V iff |V intersect {j..n}| is odd."""
     _check_dimension(n)
-    values = []
-    for v in range(1 << n):
-        value = 0
-        suffix_parity = 0
-        for pos in range(n - 1, -1, -1):
-            suffix_parity ^= (v >> pos) & 1
-            value |= suffix_parity << pos
-        values.append(value)
-    return Outmap(n, tuple(values))
+    # suffix XOR (inverse Gray code): bit pos ends as the parity of bits pos and above
+    values = np.arange(1 << n)
+    s = 1
+    while s < n:
+        values ^= values >> s
+        s <<= 1
+    return Outmap(n, tuple(values.tolist()))
 
 
 def extend_border(psi: Outmap, bit: int) -> Outmap:

@@ -31,13 +31,15 @@ Counting uses the same composition idea without materializing outmaps:
 USO counts sum 2**(components of the sink-agreement graph) over ordered
 facet pairs, found by one numpy union-find (_sink_components) that joins
 a lower facet with all upper facets at once and gives random_uso the
-roots of one pair; odd counts sum the pair filter's survivors.  A cube
-symmetry that fixes the new coordinate acts on both facets, so a lower facet's
-total over all upper facets is constant on its symmetry orbit: each orbit
-of the facet list is evaluated once, at its first member, and weighted by
-its size (19 orbits of 3-USOs, 35 of odd 4-USOs), in one process.  All
-streams and tables are deterministic: facet pairs are visited in
-enumeration order.
+roots of one pair; odd counts sum the pair filter's survivors.  Every uso
+and odd cell of the count table with n >= 1 is such a count over the
+dimension n - 1 list, so the table builds facet lists only up to n = 3
+(n = 4 with the odd5 opt-in).  A cube symmetry that fixes the new
+coordinate acts on both facets, so a lower facet's total over all upper
+facets is constant on its symmetry orbit: each orbit of the facet list is
+evaluated once, at its first member, and weighted by its size (19 orbits
+of 3-USOs, 35 of odd 4-USOs), in one process.  All streams and tables are
+deterministic: facet pairs are visited in enumeration order.
 
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
 2**n * n! cube symmetries, n <= 5); the canonical form of an outmap is the
@@ -60,6 +62,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .classes import dual, is_odd
+from .constructions import _check_dimension, extend_border
 from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, parse_uso
 from .errors import ResourceLimitError
 from .recognition import _face_failures, _puso_rows
@@ -474,12 +477,12 @@ OPT_IN_TARGETS = {"uso4": 4, "odd5": 5}
 def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> CountTable:
     """Exact class counts per dimension up to max_n (<= 5).
 
-    uso(4) and odd(5) are opt-ins ("uso4", "odd5"), orbit-weighted sums
-    that take about 0.005 s and 0.3 s; cells not covered by the current scope
-    are None.  An opt-in whose row lies above max_n is refused with
-    ValueError.  uso(5) is out of scope, while puso(n) = 2 * odd(n - 1) for
-    n >= 2 is always filled when odd(n - 1) is, and is cross-verified
-    against direct PUSO filtering for n <= 3.
+    Every uso and odd cell with n >= 1 is the successor count over the
+    dimension n - 1 list.  uso reaches row 3 and odd row 4, and the opt-ins
+    "uso4" (about 0.005 s) and "odd5" (about 0.3 s) raise them to rows 4
+    and 5; cells above are None.  An opt-in whose row lies above max_n is
+    refused with ValueError.  puso(n) = 2 * odd(n - 1) for n >= 2, and rows
+    n <= 3 are checked against the sizes of the USO, PUSO and odd lists.
 
     Counting runs in one process.  jobs is kept only for the
     count_table(max_n, opt_in, 1) call shape of the benchmark and must
@@ -491,39 +494,23 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     unknown = opts.difference(OPT_IN_TARGETS)
     if unknown:
         raise ValueError(f"unknown opt-in targets: {sorted(unknown)}")
-    if not 0 <= max_n <= 5:
+    _check_dimension(max_n)
+    if max_n > 5:
         raise ResourceLimitError("counting is supported for dimensions 0..5")
     above = sorted(opt for opt in opts if OPT_IN_TARGETS[opt] > max_n)
     if above:
         raise ValueError(f"opt-in targets {above} lie above max_n = {max_n}")
-    odd: dict[int, int | None] = {}
-    for n in range(0, min(max_n, 4) + 1):
-        odd[n] = len(_odd_values(n))
-    if max_n == 5:
-        odd[5] = count_odd_successor(4) if "odd5" in opts else None
-    uso: dict[int, int | None] = {}
-    for n in range(0, min(max_n, 3) + 1):
-        uso[n] = len(_uso_values(n))
-    if max_n >= 4:
-        uso[4] = count_uso_successor(3) if "uso4" in opts else None
-    if max_n >= 5:
-        uso[5] = None
-    puso: dict[int, int | None] = {}
-    for n in range(0, max_n + 1):
-        if n < 2:
-            puso[n] = 0
-        else:
-            below = odd[n - 1]
-            puso[n] = None if below is None else 2 * below
-    for n in range(0, min(max_n, 3) + 1):
-        direct = sum(1 for _ in enumerate_pusos(n))
-        if direct != puso[n]:
-            raise AssertionError(
-                f"PUSO count mismatch at n={n}: direct {direct} vs 2*odd(n-1) {puso[n]}"
-            )
-    rows = tuple(
-        CountRow(uso=uso[n], puso=puso[n], border=odd[n], odd=odd[n]) for n in range(max_n + 1)
-    )
+    uso_top = 4 if "uso4" in opts else 3
+    odd_top = 5 if "odd5" in opts else 4
+    dims = range(1, max_n + 1)
+    uso = [1] + [count_uso_successor(n - 1) if n <= uso_top else None for n in dims]
+    odd = [1] + [count_odd_successor(n - 1) if n <= odd_top else None for n in dims]
+    puso = [2 * odd[n - 1] if n >= 2 else 0 for n in range(max_n + 1)]
+    rows = tuple(CountRow(uso[n], puso[n], odd[n], odd[n]) for n in range(max_n + 1))
+    for n, row in enumerate(rows[:4]):
+        direct = (len(_uso_values(n)), sum(1 for _ in enumerate_pusos(n)), len(_odd_values(n)))
+        if direct != (row.uso, row.puso, row.odd):
+            raise AssertionError(f"count mismatch at n={n}: list sizes {direct} vs {row}")
     return CountTable(rows)
 
 
@@ -695,6 +682,7 @@ def orbit_representatives(outmaps: Iterable[Outmap]) -> list[CanonicalForm]:
 
 def enumerate_class(kind: str, n: int, allow_large: bool = False) -> Iterator[Outmap]:
     """Stream one recognized class: uso | puso | odd | border."""
+    _check_dimension(n)
     if kind == "uso":
         yield from enumerate_usos(n)
     elif kind == "puso":
@@ -742,6 +730,4 @@ def random_puso(n: int, rng) -> Outmap:
     """Random PUSO: extend the dual of a random odd USO one dimension up (2 <= n <= 5)."""
     if not 2 <= n <= 5:
         raise ResourceLimitError("random PUSOs are supported for 2 <= n <= 5")
-    from .constructions import extend_border
-
     return extend_border(dual(random_odd(n - 1, rng)), rng.getrandbits(1))

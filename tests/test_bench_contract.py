@@ -71,7 +71,8 @@ def test_benchmark_entry_points_and_call_shapes():
             (744, 16, 112, 112),
         ]
 
-        # uso(4) runs the worker once per orbit of lower facets: 19 x 744 pairs
+        # each uso cell n >= 1 runs the worker once per orbit of lower facets
+        # over the n - 1 list: 1, 1, 2 and (with uso4) 19 orbits of 1, 2, 12, 744 facets
         start = len(tracer.spans)
         assert enumeration.count_table(4, ("uso4",), 1).rows[4].uso == 5_541_744
         pairs = [
@@ -79,7 +80,7 @@ def test_benchmark_entry_points_and_call_shapes():
             for span in tracer.spans[start:]
             if span[spans.NAME] == "enumeration.uso_successor"
         ]
-        assert len(pairs) == 19 and sum(pairs) == 19 * 744
+        assert pairs == [1, 2, 12, 12] + [744] * 19
 
         km = klee_minty(4)
         recognition.classify(km)

@@ -236,6 +236,20 @@ def test_count_rejects_opt_in_above_max_n(capsys):
     assert "odd5" in err and "max_n" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--max-n", "-1"),
+        ("enumerate", "--class", "uso", "--n", "-1"),
+        ("orbits", "--class", "odd", "--n", "-2"),
+    ],
+)
+def test_negative_dimensions_are_usage_errors(capsys, argv):
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (2, "")
+    assert f"dimension {argv[-1]} is negative" in err
+
+
 def test_count_beyond_scope(capsys):
     assert run(capsys, "count", "--max-n", "6")[0] == 3
 

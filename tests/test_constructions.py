@@ -56,6 +56,15 @@ def test_klee_minty_is_odd(n):
     assert is_odd(klee_minty(n))[0]
 
 
+@pytest.mark.parametrize("n", range(11))
+def test_klee_minty_matches_its_definition(n):
+    """Coordinate j is outgoing at V iff |V intersect {j..n}| is odd, vertex by vertex."""
+    expected = tuple(
+        sum(((v >> pos).bit_count() & 1) << pos for pos in range(n)) for v in range(1 << n)
+    )
+    assert klee_minty(n).values == expected
+
+
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_klee_minty_xor_homomorphism(n):
     """The construction is linear: values of u and v XOR to the value of u^v."""
@@ -121,6 +130,18 @@ def test_cyclic_puso_is_puso(n):
     # value of the empty set is empty, so the parity is even: two sinks
     assert puso_parity(phi) is Parity.EVEN
     assert len(face_sinks(phi)) == 2
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_cyclic_puso_matches_its_definition(n):
+    """Coordinate i is outgoing at V iff exactly one of i, perm(i) lies in V, vertex by vertex."""
+    rng = random.Random(n)
+    for perm in (CyclicPermutation.shift(n), random_cycle(n, rng), random_cycle(n, rng)):
+        expected = tuple(
+            sum(((v >> (i - 1) ^ v >> (perm(i) - 1)) & 1) << (i - 1) for i in range(1, n + 1))
+            for v in range(1 << n)
+        )
+        assert cyclic_puso(n, perm).values == expected
 
 
 def test_cyclic_puso_random_cycles():

@@ -532,6 +532,33 @@ def test_count_table_validates_arguments():
         count_table(3, opt_in=("cake",))
     with pytest.raises(ResourceLimitError):
         count_table(6)
+    with pytest.raises(ValueError, match="dimension -1 is negative"):
+        count_table(-1)
+
+
+@pytest.mark.parametrize("name", ["count_odd_successor", "count_uso_successor"])
+def test_count_table_checks_every_column_against_direct_enumeration(monkeypatch, name):
+    """A successor count one off at m = 2 is caught by the n = 3 row's check."""
+    real = getattr(enumeration, name)
+    monkeypatch.setattr(enumeration, name, lambda m: real(m) + (m == 2))
+    with pytest.raises(AssertionError, match="n=3"):
+        count_table(3)
+
+
+def test_count_table_never_builds_the_odd_4_list(monkeypatch):
+    """Without odd5 the table composes odd(3) from odd(2) and never odd(4) from odd(3)."""
+    calls = []
+    real = enumeration._composed_odd
+
+    def spy(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(enumeration, "_composed_odd", spy)
+    enumeration._odd_values.cache_clear()
+    count_table(4)
+    count_table(5, ("uso4",))
+    assert calls == [2]
 
 
 @pytest.mark.parametrize("max_n, opt_in", [(3, ("uso4",)), (4, ("odd5",)), (3, ("uso4", "odd5"))])
