@@ -27,19 +27,18 @@ filter is tested against, and the filter is equivalent to running the
 generic odd test on the composed outmap, which the test suite asserts for
 n = 3 in full and for n = 5 on a sample.
 
-Counting uses the same composition idea without materializing outmaps:
-USO counts sum 2**(components of the sink-agreement graph) over ordered
-facet pairs, found by one numpy union-find (_sink_components) that joins
-a lower facet with all upper facets at once and gives random_uso the
-roots of one pair; odd counts sum the pair filter's survivors.  Every uso
-and odd cell of the count table with n >= 1 is such a count over the
-dimension n - 1 list, so the table builds facet lists only up to n = 3
-(n = 4 with the odd5 opt-in).  A cube symmetry that fixes the new
-coordinate acts on both facets, so a lower facet's total over all upper
-facets is constant on its symmetry orbit: each orbit of the facet list is
-evaluated once, at its first member, and weighted by its size (19 orbits
-of 3-USOs, 35 of odd 4-USOs), in one process.  All streams and tables are
-deterministic: facet pairs are visited in enumeration order.
+Counting uses the same composition idea without materializing outmaps.
+A coloring g of the facet vertices (the connecting edges) joins two facet
+USOs into a USO iff g colors both sinks of every facet face alike, so
+uso(m + 1) is the collision sum of N_g(x)**2 over colorings g and keys x,
+N_g(x) the facets keyed x, once per orbit of colorings (14 at m = 3).
+Odd counts sum the pair filter's survivors once per symmetry orbit of
+lower facets (35 of odd 4-USOs).  Every uso and odd cell of the count
+table with n >= 1 is such a count over the dimension n - 1 list, so the
+table builds facet lists only up to n = 3 (n = 4 with the odd5 opt-in),
+in one process.  The sink-agreement union-find (_sink_components) only
+draws random_uso(4) and is the oracle the collision sum is tested
+against.  All streams and tables are deterministic.
 
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
 2**n * n! cube symmetries, n <= 5); the canonical form of an outmap is the
@@ -55,6 +54,7 @@ the counting orbits all use it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
@@ -80,6 +80,7 @@ def _function_values(n: int) -> np.ndarray:
 
 def enumerate_outmap_functions(n: int) -> Iterator[Outmap]:
     """Every function from vertices to coordinate sets, lexicographic order (n <= 2)."""
+    _check_dimension(n)
     if n > 2:
         raise ResourceLimitError("the full function space is only enumerable for n <= 2")
     for row in _function_values(n).tolist():
@@ -106,10 +107,25 @@ def _orientation_values(n: int) -> np.ndarray:
 
 def enumerate_orientations(n: int) -> Iterator[Outmap]:
     """Every consistent orientation of the n-cube, one per edge-direction word (n <= 3)."""
+    _check_dimension(n)
     if n > 3:
         raise ResourceLimitError("orientation space is only enumerable for n <= 3")
     for row in _orientation_values(n).tolist():
         yield Outmap(n, tuple(row))
+
+
+@lru_cache(maxsize=None)
+def _uso_values(n: int) -> tuple[tuple[int, ...], ...]:
+    """Values of every USO of the n-cube (n <= 3), in enumerate_usos order."""
+    if n > 3:
+        raise ResourceLimitError("exhaustive USO enumeration is capped at n = 3")
+    vals = _function_values(n) if n <= 2 else _orientation_values(n)
+    vals = vals[~_face_failures(vals, n).any(axis=1)]
+    if n == 3:
+        # column idx reads 1 where the upper endpoint owns edge idx; lexsort's
+        # last key is its primary one
+        vals = vals[np.lexsort([vals[:, v] >> pos & 1 ^ 1 for v, pos in _edge_list(n)[::-1]])]
+    return tuple(map(tuple, vals.tolist()))
 
 
 def enumerate_usos(n: int) -> Iterator[Outmap]:
@@ -120,20 +136,14 @@ def enumerate_usos(n: int) -> Iterator[Outmap]:
     their edges in _edge_list order, edge 0 first, an edge pointing up
     before one pointing down.
     """
-    if n > 3:
-        raise ResourceLimitError("exhaustive USO enumeration is capped at n = 3")
-    vals = _function_values(n) if n <= 2 else _orientation_values(n)
-    vals = vals[~_face_failures(vals, n).any(axis=1)]
-    if n == 3:
-        # column idx reads 1 where the upper endpoint owns edge idx; lexsort's
-        # last key is its primary one
-        vals = vals[np.lexsort([vals[:, v] >> pos & 1 ^ 1 for v, pos in _edge_list(n)[::-1]])]
-    for row in vals.tolist():
-        yield Outmap(n, tuple(row))
+    _check_dimension(n)
+    for values in _uso_values(n):
+        yield Outmap(n, values)
 
 
 def enumerate_pusos(n: int) -> Iterator[Outmap]:
     """All PUSOs of the n-cube by filtering orientations (n <= 3)."""
+    _check_dimension(n)
     if n > 3:
         raise ResourceLimitError("exhaustive PUSO enumeration is capped at n = 3")
     vals = _orientation_values(n)
@@ -255,11 +265,6 @@ def _compose_valid_pattern(psi0, psi1, m, row0, row1, odd_pairs) -> int | None:
         if not duv & ~(psi0[u] ^ psi1[v]) and not ((g >> u) ^ (g >> v)) & 1:
             return None
     return g
-
-
-@lru_cache(maxsize=None)
-def _uso_values(m: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(phi.values for phi in enumerate_usos(m))
 
 
 @lru_cache(maxsize=None)
@@ -407,46 +412,62 @@ def _uso_successor_worker(args) -> int:
     return total
 
 
-def _orbit_weighted_sum(worker, make_args, vals: np.ndarray, m: int) -> int:
-    """Sum a lower-facet range worker over all facets, one call per symmetry orbit.
-
-    A cube symmetry that fixes the new coordinate acts on both facets at
-    once and permutes the facet list, so a lower facet's total over all
-    upper facets is the same for every facet in its orbit.  Each orbit's
-    first facet is evaluated alone and weighted by the orbit size.
-    """
-    keys = _canonical_keys(vals, m)
-    _, firsts, sizes = np.unique(keys, axis=0, return_index=True, return_counts=True)
-    return sum(int(size) * worker(make_args(int(i), int(i) + 1)) for i, size in zip(firsts, sizes))
+def _coloring_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least member and size of every orbit of m-cube vertex colorings (m <= 3), with complement."""
+    verts = np.arange(1 << m, dtype=np.uint8)
+    # vertex q of a relabeled coloring reads vertex source[s, q] // m! of the original
+    maps = _symmetry_gather(m)[1] // math.factorial(m)
+    colorings = np.arange(1 << len(verts), dtype=np.uint8)[:, None] >> verts & 1
+    images = (colorings[:, maps] << verts).sum(axis=2, dtype=np.uint8)
+    least = np.minimum(images, images ^ np.uint8((1 << len(verts)) - 1)).min(axis=1)
+    return np.unique(least, return_counts=True)
 
 
 def count_uso_successor(m: int) -> int:
     """Count USOs of dimension m + 1 from the full dimension-m USO list.
 
-    Every (m+1)-USO splits uniquely into two facet USOs plus connecting
-    edges; a connecting pattern works iff for every facet face the two
-    sinks' connecting edges agree, so each ordered pair contributes
-    2**(components of that agreement graph).  Lower facets are taken one
-    per symmetry orbit (19 for m = 3), weighted by the orbit size.
+    Every (m+1)-USO splits uniquely into two facet USOs and a coloring g of
+    the facet vertices (1 = the connecting edge points up), and g works iff
+    for every facet face the two sinks get the same color.  So the count is
+    the collision sum of N_g(x)**2 over g and keys x = (g(sink of f))_f,
+    N_g(x) the facets keyed x.  The sum over x is constant on the orbit of g
+    under the cube symmetries and complement (1, 2, 4, 14 orbits for
+    m = 0..3), so it is taken once per orbit and weighted by the orbit size.
     """
-    if not 0 <= m <= 3:
+    _check_dimension(m)
+    if m > 3:
         raise ResourceLimitError("USO successor counting needs the full list of dimension <= 3")
-    rows, vals = _uso_sink_rows(m), np.asarray(_uso_values(m), dtype=np.uint8)
-    return _orbit_weighted_sum(
-        _uso_successor_worker, lambda lo, hi: (rows, 1 << m, lo, hi), vals, m
-    )
+    rows, verts = _uso_sink_rows(m), np.arange(1 << m, dtype=np.uint8)
+    reps, weights = _coloring_orbits(m)
+    # bit f of masks[i, v] says face f of facet i sinks at v (filled face by face: no
+    # 3-d temporary), so g keys facet i by the sum of masks[i] over its 1-vertices
+    faces = rows.shape[1]
+    masks = np.zeros((len(rows), len(verts)), dtype=np.int64)
+    for f in range(faces):
+        masks |= (rows[:, f, None] == verts) << f
+    keys = masks @ (reps[:, None] >> verts & 1).T
+    keys += np.arange(len(reps)) << faces  # one key range per orbit
+    found, counts = np.unique(keys, return_counts=True)
+    return int(weights[found >> faces] @ counts**2)
 
 
 def count_odd_successor(m: int) -> int:
     """Count odd USOs of dimension m + 1 by the vectorized pair filter.
 
-    Lower facets are taken one per symmetry orbit (35 for m = 4), weighted
-    by the orbit size.
+    A symmetry fixing the new coordinate permutes the facet list, so each
+    orbit's first lower facet (35 orbits for m = 4) stands for its orbit.
     """
-    if not 0 <= m <= 4:
+    _check_dimension(m)
+    if m > 4:
         raise ResourceLimitError("odd successor counting needs the full list of dimension <= 4")
     nib, rows = _facet_arrays(m)
-    return _orbit_weighted_sum(_odd_successor_worker, lambda lo, hi: (nib, rows, m, lo, hi), nib, m)
+    _, firsts, sizes = np.unique(
+        _canonical_keys(nib, m), axis=0, return_index=True, return_counts=True
+    )
+    return sum(
+        size * _odd_successor_worker((nib, rows, m, i, i + 1))
+        for i, size in zip(firsts.tolist(), sizes.tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -479,7 +500,7 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
 
     Every uso and odd cell with n >= 1 is the successor count over the
     dimension n - 1 list.  uso reaches row 3 and odd row 4, and the opt-ins
-    "uso4" (about 0.005 s) and "odd5" (about 0.3 s) raise them to rows 4
+    "uso4" (about 0.002 s) and "odd5" (about 0.3 s) raise them to rows 4
     and 5; cells above are None.  An opt-in whose row lies above max_n is
     refused with ValueError.  puso(n) = 2 * odd(n - 1) for n >= 2, and rows
     n <= 3 are checked against the sizes of the USO, PUSO and odd lists.
@@ -508,7 +529,8 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     puso = [2 * odd[n - 1] if n >= 2 else 0 for n in range(max_n + 1)]
     rows = tuple(CountRow(uso[n], puso[n], odd[n], odd[n]) for n in range(max_n + 1))
     for n, row in enumerate(rows[:4]):
-        direct = (len(_uso_values(n)), sum(1 for _ in enumerate_pusos(n)), len(_odd_values(n)))
+        pusos = int(_puso_rows(_face_failures(_orientation_values(n), n), n).sum())
+        direct = (len(_uso_values(n)), pusos, len(_odd_values(n)))
         if direct != (row.uso, row.puso, row.odd):
             raise AssertionError(f"count mismatch at n={n}: list sizes {direct} vs {row}")
     return CountTable(rows)
@@ -699,6 +721,7 @@ def enumerate_class(kind: str, n: int, allow_large: bool = False) -> Iterator[Ou
 
 def random_outmap(n: int, rng) -> Outmap:
     """Uniformly random outmap function (not usually an orientation)."""
+    _check_dimension(n)
     if n == 0:
         return Outmap(0, (0,))
     return Outmap(n, tuple(rng.getrandbits(n) for _ in range(1 << n)))
@@ -706,6 +729,7 @@ def random_outmap(n: int, rng) -> Outmap:
 
 def random_uso(n: int, rng) -> Outmap:
     """Random USO: sampled from the full list for n <= 3, composed for n = 4."""
+    _check_dimension(n)
     if n <= 3:
         return Outmap(n, rng.choice(_uso_values(n)))
     if n != 4:
@@ -723,6 +747,7 @@ def random_uso(n: int, rng) -> Outmap:
 
 def random_odd(n: int, rng) -> Outmap:
     """Random odd USO sampled from the full list (n <= 4)."""
+    _check_dimension(n)
     return Outmap(n, rng.choice(_odd_values(n)))
 
 

@@ -71,16 +71,13 @@ def test_benchmark_entry_points_and_call_shapes():
             (744, 16, 112, 112),
         ]
 
-        # each uso cell n >= 1 runs the worker once per orbit of lower facets
-        # over the n - 1 list: 1, 1, 2 and (with uso4) 19 orbits of 1, 2, 12, 744 facets
+        # uso cells are coloring-collision sums: count_table never runs the
+        # pair worker, so enumeration.uso_successor_s and uso_pairs read 0 there
         start = len(tracer.spans)
         assert enumeration.count_table(4, ("uso4",), 1).rows[4].uso == 5_541_744
-        pairs = [
-            span[spans.ATTRS]["pairs"]
-            for span in tracer.spans[start:]
-            if span[spans.NAME] == "enumeration.uso_successor"
-        ]
-        assert pairs == [1, 2, 12, 12] + [744] * 19
+        names = [span[spans.NAME] for span in tracer.spans[start:]]
+        assert "enumeration.count_table" in names
+        assert names.count("enumeration.uso_successor") == 0
 
         km = klee_minty(4)
         recognition.classify(km)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, including exit codes and formats."""
 
+import hashlib
 import importlib
 import io
 import json
@@ -336,6 +337,15 @@ def test_enumerate_stream(capsys):
     outmaps = read_outmap_stream(out)
     assert len(outmaps) == 4
     assert all(is_puso(phi) for phi in outmaps)
+
+
+def test_enumerate_uso_3_stream_is_pinned(capsys):
+    """The 744 3-USOs in edge-word order, byte for byte (sha256 of the stream)."""
+    code, out, _ = run(capsys, "enumerate", "--class", "uso", "--n", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1156a668b1aa7e252ed3dd14de3df08e987a7e8044d4f237f077711346c46a89"
+    )
 
 
 def test_enumerate_to_directory(tmp_path, capsys):

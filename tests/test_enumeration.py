@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -44,7 +45,7 @@ from uso_kit import (
     value_line,
 )
 
-from uso_kit import enumeration
+from uso_kit import classes, constructions, cube, enumeration, recognition
 
 from conftest import BOW, EYE, KM_3
 
@@ -406,6 +407,97 @@ def test_uso_sink_table_is_cached():
     sinks = enumeration._uso_sink_rows(3)
     assert enumeration._uso_sink_rows(3) is sinks and not sinks.flags.writeable
     assert (sinks == enumeration._sink_rows(enumeration._uso_values(3), 3)).all()
+
+
+def _scalar_coloring_orbits(m: int) -> list[list[int]]:
+    """Orbits of the 0/1 vertex colorings of the m-cube under relabelings and complement.
+
+    Coloring g colors vertex v with bit v of g.  Each orbit is sorted and the
+    orbits come in order of their least member.  The relabeling tables come
+    from scalar loops, not from _symmetry_gather.
+    """
+    size = 1 << m
+    _, tables = _scalar_tables(m)
+    seen: set[int] = set()
+    orbits = []
+    for g in range(1 << size):
+        if g in seen:
+            continue
+        orbit = set()
+        for table in tables:
+            for r in range(size):
+                image = sum((g >> v & 1) << (table[v] ^ r) for v in range(size))
+                orbit |= {image, image ^ ((1 << size) - 1)}
+        seen |= orbit
+        orbits.append(sorted(orbit))
+    return orbits
+
+
+def _collisions(g: int, m: int) -> int:
+    """Ordered pairs of m-USOs whose face sinks get the same colors under g, face by face."""
+    rows = enumeration._uso_sink_rows(m).tolist()
+    keys = Counter(tuple(g >> sink & 1 for sink in row) for row in rows)
+    return sum(count * count for count in keys.values())
+
+
+@pytest.mark.parametrize("m, orbits", [(0, 1), (1, 2), (2, 4), (3, 14)])
+def test_coloring_orbits_match_scalar_orbits(m, orbits):
+    want = _scalar_coloring_orbits(m)
+    reps, sizes = enumeration._coloring_orbits(m)
+    assert len(want) == len(reps) == orbits
+    assert reps.tolist() == [orbit[0] for orbit in want]
+    assert sizes.tolist() == [len(orbit) for orbit in want]
+    assert int(sizes.sum()) == 2 ** 2**m
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_collision_sum_is_constant_on_coloring_orbits(m):
+    """What one coloring per orbit rests on: every coloring for m <= 2, two
+    seeded non-least members of each orbit (26 in all) for m = 3."""
+    rng = random.Random(1300 + m)
+    total = checked = 0
+    for orbit in _scalar_coloring_orbits(m):
+        members = orbit[1:] if m <= 2 else rng.sample(orbit[1:], min(2, len(orbit) - 1))
+        want = _collisions(orbit[0], m)
+        assert [_collisions(g, m) for g in members] == [want] * len(members)
+        total += len(orbit) * want
+        checked += len(members)
+    assert checked == (1, 2, 12, 26)[m]
+    assert total == count_uso_successor(m) == (2, 12, 744, 5_541_744)[m]
+
+
+def test_collision_sum_matches_sink_components_per_lower_facet():
+    """Per lower facet L: sum over U of 2**c(L, U) from the union-find equals the
+    number of (coloring, U) with U keyed like L."""
+    rows = enumeration._uso_sink_rows(3)
+    lowers = random.Random(31).sample(range(744), 5)
+    by_colorings = [0] * len(lowers)
+    for g in range(256):
+        keys = g >> rows & 1
+        for k, i0 in enumerate(lowers):
+            by_colorings[k] += int((keys == keys[i0]).all(axis=1).sum())
+    verts = np.arange(8)
+    for i0, want in zip(lowers, by_colorings):
+        components = (enumeration._sink_components(rows[i0], rows, 8) == verts).sum(axis=1)
+        assert int((1 << components).sum()) == want
+
+
+def test_cold_count_table_builds_no_three_dimensional_outmap(monkeypatch):
+    """The uso4 cell and the n <= 3 checks read value arrays, not validated 3-outmaps."""
+    for module in (cube, recognition, classes, constructions, enumeration):
+        for obj in vars(module).values():
+            if callable(getattr(obj, "cache_clear", None)):
+                obj.cache_clear()
+    built = []
+    real = Outmap.__post_init__
+
+    def spy(self):
+        built.append(self.n)
+        real(self)
+
+    monkeypatch.setattr(Outmap, "__post_init__", spy)
+    assert count_table(4, ("uso4",)).rows[4].uso == 5_541_744
+    assert built and set(built) <= {0, 1, 2}
 
 
 def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
@@ -866,6 +958,25 @@ def test_random_odd_and_puso(rng):
         assert is_odd(random_odd(n, rng))[0]
     for n in range(2, 6):
         assert is_puso(random_puso(n, rng))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: next(enumerate_outmap_functions(-1)), id="enumerate_outmap_functions"),
+        pytest.param(lambda: next(enumerate_orientations(-1)), id="enumerate_orientations"),
+        pytest.param(lambda: next(enumerate_usos(-1)), id="enumerate_usos"),
+        pytest.param(lambda: next(enumerate_pusos(-1)), id="enumerate_pusos"),
+        pytest.param(lambda: random_outmap(-1, random.Random(0)), id="random_outmap"),
+        pytest.param(lambda: random_uso(-1, random.Random(0)), id="random_uso"),
+        pytest.param(lambda: random_odd(-1, random.Random(0)), id="random_odd"),
+        pytest.param(lambda: count_uso_successor(-1), id="count_uso_successor"),
+        pytest.param(lambda: count_odd_successor(-1), id="count_odd_successor"),
+    ],
+)
+def test_negative_dimensions_are_refused_by_name(call):
+    with pytest.raises(ValueError, match="dimension -1 is negative"):
+        call()
 
 
 def test_random_outmap_matches_seed():
