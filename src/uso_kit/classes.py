@@ -6,8 +6,8 @@ U XOR V has |psi(U) XOR psi(V)| odd.  An odd USO is the mirror notion for
 the inverse outmap: every pair with U XOR V contained in phi(U) XOR phi(V)
 has |U XOR V| odd.  The two direct pair conditions differ only in which
 side must contain the other, so one containment scan decides both.  It
-is vectorized over groups of pairs with a common offset U XOR V and keeps
-the witness and pair count of a pair-by-pair scan; the test suite
+broadcasts tiles of same-parity vertex pairs, with no index gathers, and
+keeps the witness and pair count of a pair-by-pair scan; the test suite
 cross-checks it against the dual route (odd = dual is border), the cap
 route (odd = every face is a cap) and a pair-by-pair reference.
 """
@@ -15,10 +15,11 @@ route (odd = every face is a cap) and a pair-by-pair reference.
 from __future__ import annotations
 
 import enum
+import heapq
 
 import numpy as np
 
-from .cube import FaceSpec, Outmap, faces_iter, full_mask
+from .cube import FaceSpec, Outmap, _vertex_dtype, faces_iter, full_mask
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
 from .recognition import PairEvalCounter, _values, is_puso, is_uso_fast
 
@@ -57,45 +58,54 @@ def _require_uso(phi: Outmap, counter: PairEvalCounter | None) -> None:
         raise NotAUsoError("input outmap is not a unique sink orientation")
 
 
-# Pairs per vectorized step of the containment scan; small enough that a
-# step's temporaries stay in cache.
+# Pairs per tile of the containment scan; small enough that a tile's
+# temporaries stay in cache.
 _PAIR_BLOCK = 1 << 16
 
 
-def _first_failing_pair(vals, parity, n: int, odd: bool, rows: np.ndarray):
-    """Lexicographically first failing pair (U, V), U < V, with U in rows, or None.
-
-    Pairs are grouped by the offset d = U XOR V.  With j the top coordinate
-    of d, U < V exactly when U lacks j, so the offsets with top coordinate j
-    run against the rows that lack j, at most _PAIR_BLOCK pairs per step.
+def _class_tiles(members: np.ndarray, cls: int):
+    """Tiles (first row, cls, start, stop) of one parity class: rows
+    start..stop of members against members[start:], at most _PAIR_BLOCK
+    pairs each, the first a single row.
     """
+    start = 0
+    while start < len(members):
+        stop = start + max(1, _PAIR_BLOCK // (len(members) - start)) if start else 1
+        yield int(members[start]), cls, start, min(stop, len(members))
+        start = stop
+
+
+def _first_failing_pair(p: np.ndarray, q: np.ndarray):
+    """Lexicographically first failing pair (U, V), U < V, or None.
+
+    The pair fails when p[U] and p[V] have equal parity and p[U] XOR p[V]
+    is contained in q[U] XOR q[V], that is (p[U] ^ p[V]) & (~q[U] ^ q[V])
+    is 0.  Only same-parity pairs can fail, so each parity class is scanned
+    in broadcast tiles, and the tiles of both classes run merged by first
+    row until one starts past the best failing U.  p is a bijection, so a
+    tile's diagonal entries are its only trivial matches.
+    """
+    parity = p.astype(np.uint32)
+    for shift in (16, 8, 4, 2, 1):
+        parity ^= parity >> shift
+    classes = [np.flatnonzero(parity & 1 == cls) for cls in (0, 1)]
+    sides = [(members, p[members], ~q[members], q[members]) for members in classes]
     best = None
-    value_parity = parity[vals]
-    for j in range(n):
-        us = rows[rows >> j & 1 == 0]
-        offsets = np.arange(1 << j, 2 << j)
-        if odd:
-            # a pair at odd distance never fails the odd condition
-            offsets = offsets[parity[offsets] == 0]
-        if not len(us) or not len(offsets):
-            continue
-        vals_u, parity_u = vals[us], value_parity[us]
-        step = max(1, _PAIR_BLOCK // len(us))
-        for k in range(0, len(offsets), step):
-            d = offsets[k : k + step, None]
-            vs = us ^ d
-            diff = vals_u ^ vals[vs]
-            d = d.astype(vals.dtype)
-            if odd:
-                bad = diff & d == d
-            else:
-                # |diff| is even when |phi(U)| and |phi(V)| have equal parity
-                bad = (diff & ~d == 0) & (parity_u == value_parity[vs])
-            if bad.any():
-                rank, col = np.nonzero(bad)
-                key = int((us[col] << n | vs[rank, col]).min())
-                best = key if best is None else min(best, key)
-    return None if best is None else divmod(best, 1 << n)
+    tiles = heapq.merge(*(_class_tiles(members, cls) for cls, members in enumerate(classes)))
+    for first, cls, start, stop in tiles:
+        if best is not None and first > best[0]:
+            break
+        members, p_c, not_q, q_c = sides[cls]
+        tile = p_c[start:stop, None] ^ p_c[start:]
+        tile &= not_q[start:stop, None] ^ q_c[start:]
+        if np.count_nonzero(tile) < tile.size - (stop - start):
+            bad = tile == 0
+            bad[np.diag_indices(stop - start)] = False
+            # the first failing row's failures all lie right of the diagonal
+            rank, col = np.nonzero(bad)
+            pair = (int(members[start + rank[0]]), int(members[start + col[0]]))
+            best = pair if best is None else min(best, pair)
+    return best
 
 
 def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
@@ -103,27 +113,17 @@ def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
 
     With D = phi(U) XOR phi(V), a pair fails when D is contained in U XOR V
     and |D| is even (border), or when U XOR V is contained in D and
-    |U XOR V| is even (odd).  The witness is the lexicographically first
-    failing pair (U, V), U < V, and the counter receives the number of
-    pairs up to and including it in lexicographic order, as a pair-by-pair
-    scan would.  Row U = 0 is scanned first, in one step, so that a
-    failure there skips the rest.
+    |U XOR V| is even (odd).  Both are _first_failing_pair, with
+    (p, q) = (vertex, value) for odd and (value, vertex) for border.  The
+    witness is the lexicographically first failing pair (U, V), U < V, and
+    the counter receives the number of pairs up to and including it in
+    lexicographic order, as a pair-by-pair scan would.
     """
     _require_uso(phi, counter)
-    n = phi.n
-    size = 1 << n
-    verts = np.arange(size)
+    size = 1 << phi.n
+    verts = np.arange(size, dtype=_vertex_dtype(phi.n))
     vals = _values(phi)
-    parity = np.zeros(size, dtype=bool)
-    for pos in range(n):
-        parity ^= (verts >> pos & 1).astype(bool)
-    diff = vals[0] ^ vals[1:]
-    inner, outer = (verts[1:], diff) if odd else (diff, verts[1:])
-    failing = np.flatnonzero((inner & ~outer == 0) & ~parity[inner])
-    if len(failing):
-        witness = (0, int(failing[0]) + 1)
-    else:
-        witness = _first_failing_pair(vals, parity, n, odd, verts[1:])
+    witness = _first_failing_pair(verts, vals) if odd else _first_failing_pair(vals, verts)
     if witness is None:
         used = size * (size - 1) // 2
     else:

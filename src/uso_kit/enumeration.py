@@ -753,6 +753,7 @@ def random_odd(n: int, rng) -> Outmap:
 
 def random_puso(n: int, rng) -> Outmap:
     """Random PUSO: extend the dual of a random odd USO one dimension up (2 <= n <= 5)."""
+    _check_dimension(n)
     if not 2 <= n <= 5:
         raise ResourceLimitError("random PUSOs are supported for 2 <= n <= 5")
     return extend_border(dual(random_odd(n - 1, rng)), rng.getrandbits(1))

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uso_kit import (
     FaceSpec,
@@ -29,6 +32,7 @@ from uso_kit import (
     puso_parity,
     random_uso,
 )
+from uso_kit import classes
 
 from conftest import BORDER_3, BOW, CYCLE, EYE, KM_3, TWIN_PEAK
 
@@ -72,17 +76,20 @@ def test_odd_witness_is_a_violating_pair(border_3):
     assert (u ^ v).bit_count() % 2 == 0
 
 
+def _pair_fails(phi, u, v, odd):
+    duv, diff = u ^ v, phi[u] ^ phi[v]
+    inner, outer = (duv, diff) if odd else (diff, duv)
+    return not inner & ~outer and not inner.bit_count() & 1
+
+
 def _scan_reference(phi, odd):
     """Pair-by-pair containment scan: (ok, witness, pairs evaluated)."""
-    values = phi.values
     size = 1 << phi.n
     used = 0
     for u in range(size):
         for v in range(u + 1, size):
             used += 1
-            duv, diff = u ^ v, values[u] ^ values[v]
-            inner, outer = (duv, diff) if odd else (diff, duv)
-            if not inner & ~outer and not inner.bit_count() & 1:
+            if _pair_fails(phi, u, v, odd):
                 return False, (u, v), used
     return True, None, used
 
@@ -137,6 +144,110 @@ def test_containment_scan_matches_pair_by_pair_reference():
             ok, witness = scan(phi, counter)
             want_ok, want_witness, used = _scan_reference(phi, odd)
             assert (ok, witness, counter.count) == (want_ok, want_witness, budget + used)
+
+
+def _offset_scan(phi, odd):
+    """Offset-grouped gather scan: (ok, witness, pairs evaluated).
+
+    Pairs are grouped by the offset d = U XOR V.  With j the top coordinate
+    of d, U < V exactly when U lacks j, so the offsets with top coordinate j
+    run against the vertices that lack j, gathering phi(U XOR d).  The
+    second method the broadcast tiles are checked against where the
+    pair-by-pair reference is too slow.
+    """
+    n, size = phi.n, 1 << phi.n
+    verts = np.arange(size)
+    vals = np.asarray(phi.values, dtype=np.int64)
+    parity = np.zeros(size, dtype=bool)
+    for pos in range(n):
+        parity ^= (verts >> pos & 1).astype(bool)
+    value_parity = parity[vals]
+    best = None
+    for j in range(n):
+        us = verts[verts >> j & 1 == 0]
+        offsets = np.arange(1 << j, 2 << j)
+        if odd:
+            # a pair at odd distance never fails the odd condition
+            offsets = offsets[parity[offsets] == 0]
+        step = max(1, (1 << 16) // len(us))
+        for k in range(0, len(offsets), step):
+            d = offsets[k : k + step, None]
+            vs = us ^ d
+            diff = vals[us] ^ vals[vs]
+            if odd:
+                bad = diff & d == d
+            else:
+                bad = (diff & ~d == 0) & (value_parity[us] == value_parity[vs])
+            if bad.any():
+                rank, col = np.nonzero(bad)
+                key = int((us[col] << n | vs[rank, col]).min())
+                best = key if best is None else min(best, key)
+    if best is None:
+        return True, None, size * (size - 1) // 2
+    u, v = divmod(best, size)
+    return False, (u, v), sum(size - 1 - w for w in range(u)) + v - u
+
+
+def _assert_scans_match(phi, oracle):
+    budget = 3**phi.n - 2**phi.n
+    for scan, odd in ((is_odd, True), (is_border, False)):
+        counter = PairEvalCounter()
+        ok, witness = scan(phi, counter)
+        want_ok, want_witness, used = oracle(phi, odd)
+        assert (ok, witness, counter.count) == (want_ok, want_witness, budget + used)
+
+
+@pytest.mark.parametrize("n", range(9, 14))
+def test_containment_scan_matches_offset_gather_oracle(n):
+    rng = random.Random(n)
+    late = _reversed_edge_klee_minty(n)
+    usos = [flip(klee_minty(n), rng.getrandbits(n)), late, dual(late), _product_uso(n, n)]
+    if n == 9:
+        # odd_family members live in dimensions 3, 7 and 15; 7 is in reach
+        for selector in (0, 12345, 65535):
+            member = flip(odd_family(8, selector), rng.getrandbits(7))
+            usos += [member, dual(member)]
+    for phi in usos:
+        _assert_scans_match(phi, _offset_scan)
+
+
+# Two 4-cube USOs on which, with _PAIR_BLOCK = 64, the first tile to hold
+# a failing pair belongs to one parity class while the first failure lies
+# in a later tile of the other class: the scan must go on past a found
+# failure until a tile starts beyond its U.
+MERGE_CASES = [
+    # odd: tile {2, 4, 7, ...} holds (7, 11); the witness (3, 15) is in tile {3, 5, ...}
+    (Outmap(4, (14, 9, 4, 11, 0, 15, 10, 13, 7, 6, 12, 1, 8, 3, 2, 5)), True, (7, 11), (3, 15)),
+    # border: tile {2, ...} holds (6, 9); the witness (4, 10) is in a tile starting at 3
+    (Outmap(4, (10, 11, 9, 12, 13, 14, 15, 8, 0, 5, 7, 6, 4, 1, 3, 2)), False, (6, 9), (4, 10)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 8, 64])
+def test_containment_scan_tiles_match_reference(block, monkeypatch):
+    monkeypatch.setattr(classes, "_PAIR_BLOCK", block)
+    rng = random.Random(block)
+    usos = [klee_minty(n) for n in range(7)] + list(enumerate_usos(3))[::37]
+    usos += [flip(random_uso(4, rng), rng.getrandbits(4)) for _ in range(10)]
+    usos += [_reversed_edge_klee_minty(n) for n in (5, 6)] + [_product_uso(6, block)]
+    for phi in usos:
+        for psi in (phi, dual(phi)):
+            _assert_scans_match(psi, _scan_reference)
+    for phi, odd, found, first in MERGE_CASES:
+        assert _pair_fails(phi, *found, odd) and first < found
+        assert _scan_reference(phi, odd)[1] == first
+        _assert_scans_match(phi, _scan_reference)
+
+
+@given(st.integers(0, 4), st.integers(0, 2**32), st.integers(0, 15), st.booleans(),
+       st.sampled_from([1, 8, 64, classes._PAIR_BLOCK]))
+@settings(max_examples=80, deadline=None)
+def test_containment_scan_property(n, seed, mask, take_dual, block):
+    """Seeded random USOs under flip and dual, at several tile sizes."""
+    phi = flip(random_uso(n, random.Random(seed)), mask & ((1 << n) - 1))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classes, "_PAIR_BLOCK", block)
+        _assert_scans_match(dual(phi) if take_dual else phi, _scan_reference)
 
 
 def test_border_and_odd_require_usos(twin_peak):

@@ -958,6 +958,9 @@ def test_random_odd_and_puso(rng):
         assert is_odd(random_odd(n, rng))[0]
     for n in range(2, 6):
         assert is_puso(random_puso(n, rng))
+    for n in (0, 1, 6):
+        with pytest.raises(ResourceLimitError):
+            random_puso(n, rng)
 
 
 @pytest.mark.parametrize(
@@ -970,6 +973,7 @@ def test_random_odd_and_puso(rng):
         pytest.param(lambda: random_outmap(-1, random.Random(0)), id="random_outmap"),
         pytest.param(lambda: random_uso(-1, random.Random(0)), id="random_uso"),
         pytest.param(lambda: random_odd(-1, random.Random(0)), id="random_odd"),
+        pytest.param(lambda: random_puso(-1, random.Random(0)), id="random_puso"),
         pytest.param(lambda: count_uso_successor(-1), id="count_uso_successor"),
         pytest.param(lambda: count_odd_successor(-1), id="count_odd_successor"),
     ],
