@@ -58,18 +58,17 @@ def _require_uso(phi: Outmap, counter: PairEvalCounter | None) -> None:
         raise NotAUsoError("input outmap is not a unique sink orientation")
 
 
-# Pairs per tile of the containment scan; small enough that a tile's
-# temporaries stay in cache.
+# Pairs per tile of the containment scan, so that its temporaries stay in cache.
 _PAIR_BLOCK = 1 << 16
 
 
 def _class_tiles(members: np.ndarray, cls: int):
     """Tiles (first row, cls, start, stop) of one parity class: rows
     start..stop of members against members[start:], at most _PAIR_BLOCK
-    pairs each, the first a single row.
+    pairs each, the first a single row; the last member has no later pair.
     """
     start = 0
-    while start < len(members):
+    while start < len(members) - 1:
         stop = start + max(1, _PAIR_BLOCK // (len(members) - start)) if start else 1
         yield int(members[start]), cls, start, min(stop, len(members))
         start = stop
@@ -78,16 +77,16 @@ def _class_tiles(members: np.ndarray, cls: int):
 def _first_failing_pair(p: np.ndarray, q: np.ndarray):
     """Lexicographically first failing pair (U, V), U < V, or None.
 
-    The pair fails when p[U] and p[V] have equal parity and p[U] XOR p[V]
-    is contained in q[U] XOR q[V], that is (p[U] ^ p[V]) & (~q[U] ^ q[V])
-    is 0.  Only same-parity pairs can fail, so each parity class is scanned
-    in broadcast tiles, and the tiles of both classes run merged by first
-    row until one starts past the best failing U.  p is a bijection, so a
+    The pair fails when p[U] and p[V] have equal parity and
+    (p[U] ^ p[V]) & (~q[U] ^ q[V]) == 0.  Each parity class is scanned in
+    broadcast tiles, and the tiles of both classes run merged by first row
+    until one starts past the best failing U.  p is a bijection, so a
     tile's diagonal entries are its only trivial matches.
     """
-    parity = p.astype(np.uint32)
-    for shift in (16, 8, 4, 2, 1):
-        parity ^= parity >> shift
+    # prefix-XOR folds leave the parity of each p in its bit 0
+    parity, shift = p, 1
+    while 1 << shift < len(p):
+        parity, shift = parity ^ parity >> shift, shift << 1
     classes = [np.flatnonzero(parity & 1 == cls) for cls in (0, 1)]
     sides = [(members, p[members], ~q[members], q[members]) for members in classes]
     best = None
