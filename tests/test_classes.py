@@ -218,7 +218,7 @@ def test_containment_scan_matches_offset_gather_oracle(n):
 MERGE_CASES = [
     # odd: tile {2, 4, 7, ...} holds (7, 11); the witness (3, 15) is in tile {3, 5, ...}
     (Outmap(4, (14, 9, 4, 11, 0, 15, 10, 13, 7, 6, 12, 1, 8, 3, 2, 5)), True, (7, 11), (3, 15)),
-    # border: tile {2, ...} holds (6, 9); the witness (4, 10) is in a tile starting at 3
+    # border: tile {2, 3, 6, ...} holds (6, 9); the witness (4, 10) is in tile {4, 5, ...}
     (Outmap(4, (10, 11, 9, 12, 13, 14, 15, 8, 0, 5, 7, 6, 4, 1, 3, 2)), False, (6, 9), (4, 10)),
 ]
 
