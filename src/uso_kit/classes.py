@@ -10,6 +10,12 @@ broadcasts tiles of same-parity vertex pairs, with no index gathers, and
 keeps the witness and pair count of a pair-by-pair scan; the test suite
 cross-checks it against the dual route (odd = dual is border), the cap
 route (odd = every face is a cap) and a pair-by-pair reference.
+
+is_border, is_odd and puso_parity need a USO or a PUSO.  When
+recognition.classify has already decided the outmap, they read its verdict
+from the outmap's memo (see cube.Outmap) instead of scanning every face
+again, but still charge the counter the 3**n - 2**n pair evaluations of
+that scan.  Inverses are one numpy scatter with a bijectivity check.
 """
 
 from __future__ import annotations
@@ -19,9 +25,18 @@ import heapq
 
 import numpy as np
 
-from .cube import FaceSpec, Outmap, _vertex_dtype, faces_iter, full_mask
+from .cube import (
+    FaceSpec,
+    Outmap,
+    _face_vertices,
+    _memo,
+    _values,
+    _vertex_dtype,
+    faces_iter,
+    full_mask,
+)
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
-from .recognition import PairEvalCounter, _values, is_puso, is_uso_fast
+from .recognition import PairEvalCounter, Verdict, is_puso, is_uso_fast
 
 
 class Parity(enum.Enum):
@@ -29,32 +44,55 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-def _face_inverse(phi: Outmap, face: FaceSpec) -> dict[int, int]:
-    """Map each induced value on the face back to its vertex.
+def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The face's vertices in increasing order, and the inverse of the outmap induced on it.
 
-    Raises NotBijectiveError naming the first two vertices that share a value.
+    inverse has 2**n entries; inverse[k] is the vertex of the face whose
+    induced value is k, for every subset k of the carrier.  Raises
+    NotBijectiveError naming the first two vertices, in vertex order, that
+    share a value.
     """
     carrier = face.carrier
-    values = phi.values
-    inverse: dict[int, int] = {}
-    for v in face.vertices():
-        key = values[v] & carrier
-        if key in inverse:
-            raise NotBijectiveError(
-                f"outmap is not bijective: vertices {inverse[key]} and {v} share value {key:#b}"
-            )
-        inverse[key] = v
-    return inverse
+    verts = _face_vertices(phi.n, face)
+    keys = _values(phi)[verts] & carrier
+    inverse = np.zeros(1 << phi.n, dtype=verts.dtype)
+    inverse[keys] = verts
+    if not np.array_equal(inverse[keys], verts):
+        # a shared key: the loop names the first vertex whose key was seen before
+        seen: dict[int, int] = {}
+        for v, key in zip(verts.tolist(), keys.tolist()):
+            if key in seen:
+                raise NotBijectiveError(
+                    f"outmap is not bijective: vertices {seen[key]} and {v} share value {key:#b}"
+                )
+            seen[key] = v
+    return verts, inverse
 
 
 def dual(phi: Outmap) -> Outmap:
     """Inverse outmap phi**-1; requires phi to be a bijection on vertices."""
-    inverse = _face_inverse(phi, phi.whole_face())
-    return Outmap(phi.n, tuple(inverse[value] for value in range(1 << phi.n)))
+    return Outmap(phi.n, tuple(_face_inverse(phi, phi.whole_face())[1].tolist()))
+
+
+def _has_verdict(phi: Outmap, verdict: Verdict, scan, counter: PairEvalCounter | None) -> bool:
+    """Whether phi's verdict is `verdict`: the one classify stored in phi's
+    memo, or else scan(phi, counter), where scan is is_uso_fast or is_puso.
+
+    A stored verdict is charged the scan's 3**n - 2**n pair evaluations, so
+    counts do not depend on whether classify ran first.
+    """
+    known = _memo(phi).get("verdict")
+    if known is None:
+        return scan(phi, counter)
+    if counter is not None:
+        counter.count += 3**phi.n - 2**phi.n
+    return known is verdict
 
 
 def _require_uso(phi: Outmap, counter: PairEvalCounter | None) -> None:
-    if not is_uso_fast(phi, counter):
+    """Raise NotAUsoError unless phi is a USO, by the verdict classify stored
+    or else by is_uso_fast; the counter is charged 3**n - 2**n either way."""
+    if not _has_verdict(phi, Verdict.USO, is_uso_fast, counter):
         raise NotAUsoError("input outmap is not a unique sink orientation")
 
 
@@ -167,21 +205,17 @@ def complementary_vertex(phi: Outmap, w: int, face: FaceSpec | None = None) -> i
     if not face.contains(w):
         raise ValueError(f"vertex {w:#b} lies outside the face")
     carrier = face.carrier
-    return _face_inverse(phi, face)[(phi.values[w] & carrier) ^ carrier]
+    return int(_face_inverse(phi, face)[1][(phi.values[w] & carrier) ^ carrier])
 
 
 def complementary_pairs(phi: Outmap, face: FaceSpec | None = None) -> tuple[tuple[int, int], ...]:
     """Perfect matching (W, complement of W) over a face, each pair once, W <= partner."""
     if face is None:
         face = phi.whole_face()
-    carrier = face.carrier
-    inverse = _face_inverse(phi, face)
-    pairs = []
-    for key, v in inverse.items():
-        partner = inverse[key ^ carrier]
-        if v <= partner:
-            pairs.append((v, partner))
-    return tuple(pairs)
+    verts, inverse = _face_inverse(phi, face)
+    partners = inverse[_values(phi)[verts] & face.carrier ^ face.carrier]
+    keep = verts <= partners
+    return tuple(zip(verts[keep].tolist(), partners[keep].tolist()))
 
 
 def is_cap(phi: Outmap, face: FaceSpec | None = None) -> bool:
@@ -206,7 +240,11 @@ def all_faces_caps(phi: Outmap) -> bool:
 
 
 def puso_parity(phi: Outmap, counter: PairEvalCounter | None = None) -> Parity:
-    """Common parity |phi(V)| mod 2 of a PUSO's values (even: 2 sinks, odd: 0)."""
-    if not is_puso(phi, counter):
+    """Common parity |phi(V)| mod 2 of a PUSO's values (even: 2 sinks, odd: 0).
+
+    Like _require_uso, reads a verdict stored by classify before running
+    is_puso, and charges 3**n - 2**n pair evaluations either way.
+    """
+    if not _has_verdict(phi, Verdict.PUSO, is_puso, counter):
         raise NotAPusoError("parity is defined for PUSOs only")
     return Parity.ODD if phi.values[0].bit_count() & 1 else Parity.EVEN

@@ -178,7 +178,15 @@ def _vertex_dtype(n: int):
 
 @dataclass(frozen=True)
 class Outmap:
-    """Dense outmap of the standard n-cube: values[v] = outgoing set of vertex v."""
+    """Dense outmap of the standard n-cube: values[v] = outgoing set of vertex v.
+
+    An outmap is immutable, so it keeps one private memo of facts derived
+    from its values, each stored on first use: the values as a read-only
+    numpy array in _vertex_dtype(n) (see _values), and the Verdict that
+    recognition.classify found, which classes reads instead of proving the
+    outmap a USO or PUSO again.  The memo is not a field: equality, hashing,
+    repr, copies and pickles see n and values only.
+    """
 
     n: int
     values: tuple[int, ...]
@@ -206,19 +214,48 @@ class Outmap:
     def __getitem__(self, v: int) -> int:
         return self.values[v]
 
+    def __getstate__(self):
+        # the memo is derived from the fields, so pickles and copies leave it out
+        return {"n": self.n, "values": self.values}
+
     def whole_face(self) -> FaceSpec:
         return FaceSpec(0, full_mask(self.n))
 
 
+def _memo(phi: Outmap) -> dict:
+    """The outmap's private memo (see Outmap), created empty on first use."""
+    return phi.__dict__.setdefault("_memo", {})
+
+
+def _values(phi: Outmap) -> np.ndarray:
+    """The outmap's values as a read-only array in _vertex_dtype(n), built once per outmap."""
+    memo = _memo(phi)
+    array = memo.get("array")
+    if array is None:
+        array = memo["array"] = np.asarray(phi.values, dtype=_vertex_dtype(phi.n))
+        array.flags.writeable = False
+    return array
+
+
+def _face_vertices(n: int, face: FaceSpec) -> np.ndarray:
+    """Vertices of a face of the n-cube in increasing order: those that agree
+    with face.lower outside the carrier."""
+    full = full_mask(n)
+    if face.upper > full:
+        raise ValueError("face does not fit inside the cube")
+    return np.flatnonzero((np.arange(full + 1) ^ face.lower) & (full ^ face.carrier) == 0)
+
+
 def face_sinks(phi: Outmap, face: FaceSpec | None = None) -> tuple[int, ...]:
-    """Vertices of a face with no outgoing coordinate inside the face."""
+    """Vertices of a face with no outgoing coordinate inside the face, increasing.
+
+    One numpy selection over the face's vertices, reading the values array
+    the outmap keeps in its memo.
+    """
     if face is None:
         face = phi.whole_face()
-    if face.upper > full_mask(phi.n):
-        raise ValueError("face does not fit inside the cube")
-    carrier = face.carrier
-    values = phi.values
-    return tuple(v for v in face.vertices() if not values[v] & carrier)
+    verts = _face_vertices(phi.n, face)
+    return tuple(verts[_values(phi)[verts] & face.carrier == 0].tolist())
 
 
 def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:

@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, full_mask
+from .cube import FaceSpec, Outmap, _memo, _values, face_schedule, full_mask
 
 
 class Verdict(enum.Enum):
@@ -70,11 +70,6 @@ def pair_eval(phi: Outmap, u: int, v: int, counter: PairEvalCounter | None = Non
     if counter is not None:
         counter.count += 1
     return (phi.values[u] ^ phi.values[v]) & (u ^ v)
-
-
-def _values(phi: Outmap) -> np.ndarray:
-    """The outmap's values as an array in the face schedule's dtype."""
-    return np.asarray(phi.values, dtype=_vertex_dtype(phi.n))
 
 
 def _face_failures(vals: np.ndarray, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -224,16 +219,18 @@ def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> Classificat
     dimension) and the first failing face of minimal dimension decides:
     dimension 1 means NotOrientation, dimension n means PUSO, and a proper
     face of dimension >= 2 means Other with that face as puso_face.  No
-    failure anywhere means USO.
+    failure anywhere means USO.  The verdict is stored in the outmap's memo
+    (see cube.Outmap), where the classes module reads it.
     """
     used, face = _first_failing_face(phi)
     if counter is not None:
         counter.count += used
     if face is None:
-        return ClassificationReport(Verdict.USO, None, None, used)
-    witness = (face.lower, face.upper)
-    if face.dim == 1:
-        return ClassificationReport(Verdict.NOT_ORIENTATION, witness, None, used)
-    return ClassificationReport(
-        Verdict.PUSO if face.dim == phi.n else Verdict.OTHER, witness, face, used
-    )
+        report = ClassificationReport(Verdict.USO, None, None, used)
+    elif face.dim == 1:
+        report = ClassificationReport(Verdict.NOT_ORIENTATION, (face.lower, face.upper), None, used)
+    else:
+        verdict = Verdict.PUSO if face.dim == phi.n else Verdict.OTHER
+        report = ClassificationReport(verdict, (face.lower, face.upper), face, used)
+    _memo(phi)["verdict"] = report.verdict
+    return report

@@ -1,5 +1,7 @@
 """Border and odd characterizations, duality, caps, PUSO parity."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -15,9 +17,12 @@ from uso_kit import (
     Outmap,
     PairEvalCounter,
     Parity,
+    Verdict,
     all_faces_caps,
+    classify,
     complementary_pairs,
     complementary_vertex,
+    cyclic_puso,
     dual,
     enumerate_odd,
     enumerate_pusos,
@@ -30,11 +35,12 @@ from uso_kit import (
     klee_minty,
     odd_family,
     puso_parity,
+    random_outmap,
     random_uso,
 )
-from uso_kit import classes
+from uso_kit import classes, cube, recognition
 
-from conftest import BORDER_3, BOW, CYCLE, EYE, KM_3, TWIN_PEAK
+from conftest import BORDER_3, BOW, CYCLE, EMBEDDED_TWIN_PEAK, EYE, KM_3, TWIN_PEAK
 
 
 def test_dual_fixed_pair(border_3, km_3):
@@ -353,3 +359,178 @@ def test_flip_toggles_puso_parity(twin_peak):
     flipped = flip(twin_peak, 0b01)
     assert puso_parity(flipped) is Parity.ODD
     assert puso_parity(flip(flipped, 0b01)) is Parity.EVEN
+
+
+# ---------------------------------------------------------------------------
+# the outmap memo: classify's verdict and the values array
+
+
+@pytest.mark.parametrize(
+    "phi, verdict",
+    [
+        (Outmap(2, TWIN_PEAK), Verdict.PUSO),
+        (flip(cyclic_puso(5), 0b10110), Verdict.PUSO),
+        (Outmap(3, EMBEDDED_TWIN_PEAK), Verdict.OTHER),
+        (Outmap(2, (0, 0, 2, 3)), Verdict.NOT_ORIENTATION),
+    ],
+)
+def test_scans_refuse_non_usos_with_or_without_a_stored_verdict(phi, verdict):
+    for classified_first in (False, True):
+        fresh = Outmap(phi.n, phi.values)
+        if classified_first:
+            assert classify(fresh).verdict is verdict
+        for scan in (is_border, is_odd):
+            counter = PairEvalCounter()
+            with pytest.raises(NotAUsoError):
+                scan(fresh, counter)
+            assert counter.count == 3**phi.n - 2**phi.n
+
+
+def _answers(phi):
+    """is_border, is_odd and puso_parity on phi, each with its pair-eval count."""
+    out = []
+    for fn in (is_border, is_odd, puso_parity):
+        counter = PairEvalCounter()
+        try:
+            out.append(fn(phi, counter))
+        except (NotAUsoError, NotAPusoError) as exc:
+            out.append(type(exc))
+        out.append(counter.count)
+    return out
+
+
+def test_stored_verdict_gives_the_answers_and_counts_of_a_fresh_outmap():
+    rng = random.Random(615)
+    subjects = [flip(klee_minty(n), rng.getrandbits(n)) for n in range(8)]
+    subjects += [random_uso(4, rng) for _ in range(4)]
+    subjects += [flip(cyclic_puso(n), rng.getrandbits(n)) for n in range(2, 8)]
+    subjects += [Outmap(3, EMBEDDED_TWIN_PEAK), random_outmap(5, rng), Outmap(1, (0, 0))]
+    verdicts = set()
+    for phi in subjects:
+        # value-equal outmaps built separately: one classified first, one not
+        fresh, classified = Outmap(phi.n, phi.values), Outmap(phi.n, phi.values)
+        verdicts.add(classify(classified).verdict)
+        assert _answers(classified) == _answers(fresh)
+        assert classified == fresh and hash(classified) == hash(fresh)
+    assert verdicts == set(Verdict)
+
+
+def test_scans_read_the_stored_verdict(monkeypatch):
+    def boom(*args):
+        raise AssertionError("scanned although classify stored a verdict")
+
+    uso, puso = klee_minty(5), cyclic_puso(5)
+    classify(uso)
+    classify(puso)
+    monkeypatch.setattr(classes, "is_uso_fast", boom)
+    monkeypatch.setattr(classes, "is_puso", boom)
+    counter = PairEvalCounter()
+    assert is_odd(uso, counter)[0] and not is_border(uso, counter)[0]
+    assert puso_parity(puso, counter) is Parity.EVEN  # value 0 at vertex 0
+    with pytest.raises(NotAPusoError):
+        puso_parity(uso, counter)
+    with pytest.raises(NotAUsoError):
+        is_odd(puso, counter)
+    assert counter.count >= 5 * (3**5 - 2**5)
+
+
+def test_values_array_is_read_only_and_built_once():
+    phi = flip(klee_minty(6), 0b100101)
+    array = recognition._values(phi)
+    assert array is cube._values(phi)
+    assert array.dtype == np.uint16 and array.tolist() == list(phi.values)
+    with pytest.raises(ValueError):
+        array[0] = 1
+    assert recognition._values(phi).tolist() == list(phi.values)
+
+
+def test_memo_leaves_equality_hash_repr_and_pickles_alone():
+    phi, twin = klee_minty(4), klee_minty(4)
+    blank = pickle.dumps(phi)
+    classify(phi)
+    face_sinks(phi)
+    assert phi == twin and hash(phi) == hash(twin) == hash((phi.n, phi.values))
+    assert repr(phi) == repr(twin)
+    assert pickle.dumps(phi) == pickle.dumps(twin) == blank
+    for clone in (pickle.loads(blank), copy.copy(phi), copy.deepcopy(phi)):
+        assert clone == phi and "_memo" not in vars(clone)
+
+
+# ---------------------------------------------------------------------------
+# the numpy inverse against the per-vertex loops it replaced
+
+
+def _inverse_oracle(phi, face):
+    """Induced value -> vertex, by one dict over face.vertices()."""
+    inverse = {}
+    for v in face.vertices():
+        key = phi.values[v] & face.carrier
+        if key in inverse:
+            raise NotBijectiveError(
+                f"outmap is not bijective: vertices {inverse[key]} and {v} share value {key:#b}"
+            )
+        inverse[key] = v
+    return inverse
+
+
+def _pairs_oracle(inverse, carrier):
+    """(W, partner) in vertex order, W <= partner, from the dict inverse."""
+    pairs = ((v, inverse[key ^ carrier]) for key, v in inverse.items())
+    return tuple((v, partner) for v, partner in pairs if v <= partner)
+
+
+def _inverse_subjects(rng):
+    """USOs (bijective on every face), cube bijections and random functions, n <= 8."""
+    for n in range(9):
+        yield flip(klee_minty(n), rng.getrandbits(n))
+        perm = list(range(1 << n))
+        rng.shuffle(perm)
+        yield Outmap(n, tuple(perm))
+        yield random_outmap(n, rng)
+    yield random_uso(4, rng)
+    yield flip(odd_family(8, rng.getrandbits(16)), rng.getrandbits(7))
+
+
+def _faces(n, rng):
+    """The whole cube, two singletons and four random faces."""
+    yield FaceSpec(0, (1 << n) - 1)
+    for _ in range(2):
+        v = rng.getrandbits(n) if n else 0
+        yield FaceSpec(v, v)
+    for _ in range(4):
+        lower = rng.getrandbits(n) if n else 0
+        yield FaceSpec(lower, lower | (rng.getrandbits(n) if n else 0))
+
+
+def test_numpy_inverse_matches_the_per_vertex_loop():
+    rng = random.Random(2001)
+    bijective = colliding = 0
+    for phi in _inverse_subjects(rng):
+        for face in _faces(phi.n, rng):
+            try:
+                inverse = _inverse_oracle(phi, face)
+            except NotBijectiveError as exc:
+                colliding += 1
+                calls = [
+                    lambda: classes._face_inverse(phi, face),
+                    lambda: complementary_pairs(phi, face),
+                    lambda: complementary_vertex(phi, face.lower, face),
+                ]
+                if face.carrier == (1 << phi.n) - 1:
+                    calls.append(lambda: dual(phi))
+                for call in calls:
+                    with pytest.raises(NotBijectiveError) as got:
+                        call()
+                    assert str(got.value) == str(exc)
+                continue
+            bijective += 1
+            verts, array = classes._face_inverse(phi, face)
+            assert verts.tolist() == list(face.vertices())
+            assert {key: int(array[key]) for key in inverse} == inverse
+            assert complementary_pairs(phi, face) == _pairs_oracle(inverse, face.carrier)
+            for w in face.vertices():
+                key = (phi.values[w] & face.carrier) ^ face.carrier
+                assert complementary_vertex(phi, w, face) == inverse[key]
+            if face.carrier == (1 << phi.n) - 1:
+                assert dual(phi).values == tuple(inverse[k] for k in range(1 << phi.n))
+    assert bijective > 50 and colliding > 20

@@ -18,17 +18,22 @@ from hypothesis import strategies as st
 
 import uso_kit
 from uso_kit import (
+    CyclicPermutation,
     FormatError,
     Outmap,
     canonical_form,
     count_table,
+    cyclic_puso,
+    dual,
     emit_uso,
     flip,
     is_odd,
     is_puso,
     klee_minty,
+    odd_family,
     parse_uso,
     random_puso,
+    random_uso,
 )
 from uso_kit.cli import main, read_outmap_stream
 
@@ -125,6 +130,72 @@ def test_dual_rejects_non_bijective(tmp_path, capsys):
     code, _, err = run(capsys, "dual", path)
     assert code == 1
     assert "bijective" in err
+
+
+def _random_cycle(n, rng):
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    mapping = [0] * n
+    for k in range(n):
+        mapping[order[k] - 1] = order[(k + 1) % n]
+    return CyclicPermutation(tuple(mapping))
+
+
+def _edge_flipped(phi, rng):
+    """Reverse one edge of a USO so that a 2-face through it loses its unique sink."""
+    while True:
+        v = rng.randrange(1 << phi.n)
+        e, f = (1 << pos for pos in rng.sample(range(phi.n), 2))
+        values = list(phi.values)
+        values[v] ^= e
+        values[v ^ e] ^= e
+        a, span = v & ~(e | f), e | f
+        if not (values[a] ^ values[a | span]) & span or not (values[a | e] ^ values[a | f]) & span:
+            return Outmap(phi.n, tuple(values))
+
+
+def _broken_function(n, rng):
+    """A random function whose edge {0, 1} is outgoing at both ends or at neither."""
+    values = [rng.getrandbits(n) for _ in range(1 << n)]
+    values[1] = values[1] & ~1 | values[0] & 1
+    return Outmap(n, tuple(values))
+
+
+def _pinned_inputs():
+    rng = random.Random(20171)
+    made = []
+    for n in range(1, 13):
+        made.append(flip(klee_minty(n), rng.getrandbits(n)))
+        made.append(_broken_function(n, rng))
+        if n >= 2:
+            made.append(flip(cyclic_puso(n, _random_cycle(n, rng)), rng.getrandbits(n)))
+        if n >= 3:
+            made.append(_edge_flipped(flip(klee_minty(n), rng.getrandbits(n)), rng))
+    for _ in range(3):
+        made.append(flip(odd_family(4, rng.getrandbits(1)), rng.getrandbits(3)))
+        made.append(flip(odd_family(8, rng.getrandbits(16)), rng.getrandbits(7)))
+    for n in range(1, 5):
+        for _ in range(2):
+            phi = random_uso(n, rng)
+            made += [phi, dual(phi)]
+    made.append(Outmap(2, TWIN_PEAK))  # not bijective: dual exits 1 naming the pair
+    return made
+
+
+def test_class_check_dual_outputs_are_pinned(tmp_path, capsys):
+    """stdout, stderr and exit code of class, check and dual on seeded inputs, n = 1..12."""
+    inputs = _pinned_inputs()
+    assert len(inputs) == 68
+    digest = hashlib.sha256()
+    for k, phi in enumerate(inputs):
+        path = tmp_path / f"{k}.uso"
+        path.write_text(emit_uso(phi), encoding="utf-8")
+        for command in ("class", "check", "dual"):
+            code, out, err = run(capsys, command, str(path))
+            digest.update(f"{k} {command} {code}\n{out}\0{err}\0".encode())
+    assert digest.hexdigest() == (
+        "d07447a95ff6ae10ee992afce0019d5b9a3b5506e6445c55155249096b758256"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ from uso_kit import (
     Outmap,
     antipode,
     coords_from_mask,
+    cyclic_puso,
     emit_uso,
+    flip,
     face_sinks,
     faces_iter,
     full_mask,
@@ -21,6 +23,7 @@ from uso_kit import (
     klee_minty,
     mask_from_coords,
     parse_uso,
+    random_outmap,
     symdiff,
     value_line,
 )
@@ -158,6 +161,29 @@ def test_face_sinks_on_fixed_outmaps():
     assert face_sinks(Outmap(2, (1, 2, 2, 1))) == ()
     face = FaceSpec(0b000, 0b011)
     assert face_sinks(Outmap(3, KM_3), face) == (0,)
+
+
+def test_face_sinks_match_the_per_vertex_loop():
+    """The numpy selection against a loop over face.vertices(), n <= 8."""
+    rng = random.Random(77)
+    seen = set()
+    for n in range(9):
+        subjects = [random_outmap(n, rng), flip(klee_minty(n), rng.getrandbits(n))]
+        if n >= 2:
+            subjects.append(flip(cyclic_puso(n), rng.getrandbits(n)))
+        for phi in subjects:
+            faces = [phi.whole_face()]
+            for _ in range(6):
+                lower = rng.getrandbits(n) if n else 0
+                faces.append(FaceSpec(lower, lower | (rng.getrandbits(n) if n else 0)))
+            for face in faces:
+                expected = tuple(v for v in face.vertices() if not phi[v] & face.carrier)
+                assert face_sinks(phi, face) == expected
+                seen.add((face.dim == 0, face.dim == n, min(len(expected), 2)))
+    # singleton faces, and proper and whole faces with no, one and two sinks
+    assert {(True, False, 1)} | {(False, w, k) for w in (False, True) for k in (0, 1, 2)} <= seen
+    with pytest.raises(ValueError):
+        face_sinks(Outmap(2, EYE), FaceSpec(0, 0b100))
 
 
 def test_induced_outmap_compresses_carrier():
