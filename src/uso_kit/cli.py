@@ -10,7 +10,7 @@ argument accepts "-" for stdin and results go to stdout.  Exit codes:
      complementable, ...)
 * 2  usage errors: unknown flags, malformed option values
 * 3  unreadable or malformed input files, or a request beyond the
-     supported resource limits
+     supported resource limits or the memory available
 """
 
 from __future__ import annotations
@@ -231,12 +231,7 @@ def _cmd_count(args) -> int:
     headers = ("n", "uso", "puso", "border", "odd")
     grid = [headers]
     for n, row in enumerate(table.rows):
-        grid.append(
-            tuple(
-                "-" if value is None else str(value)
-                for value in (n, row.uso, row.puso, row.border, row.odd)
-            )
-        )
+        grid.append(tuple(cell(v) or "-" for v in (n, row.uso, row.puso, row.border, row.odd)))
     widths = [max(len(line[col]) for line in grid) for col in range(len(headers))]
     for line in grid:
         print("  ".join(text.rjust(width) for text, width in zip(line, widths)))
@@ -424,11 +419,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (FormatError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except UsoKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,9 @@ odd lists for n = 3, 4 and stream n = 5; the filter alone counts
 odd(n + 1).  The scalar _compose_valid_pattern is the reference the
 filter is tested against, and the filter is equivalent to running the
 generic odd test on the composed outmap, which the test suite asserts for
-n = 3 in full and for n = 5 on a sample.
+n = 3 in full and for n = 5 on a sample.  Each class list (_uso_values,
+_odd_values) is one cached, read-only (k, 2**n) array in _vertex_dtype(n);
+only streams (_outmaps) and random draws turn its rows into Outmaps.
 
 Counting uses the same composition idea without materializing outmaps.
 A coloring g of the facet vertices (the connecting edges) joins two facet
@@ -61,7 +63,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .classes import dual, is_odd
+from .classes import _first_failing_pair, dual
 from .constructions import _check_dimension, extend_border
 from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, parse_uso
 from .errors import ResourceLimitError
@@ -70,6 +72,14 @@ from .recognition import _face_failures, _puso_rows
 
 # ---------------------------------------------------------------------------
 # exhaustive generators
+
+
+def _outmaps(n: int, values: np.ndarray) -> Iterator[Outmap]:
+    """An Outmap per row of a (k, 2**n) value array, 256 rows per tolist(): a whole
+    facet block's Python lists (about 1.3 MB at n = 5) raised peak memory."""
+    for lo in range(0, len(values), 256):
+        for row in values[lo : lo + 256].tolist():
+            yield Outmap(n, tuple(row))
 
 
 def _function_values(n: int) -> np.ndarray:
@@ -83,8 +93,7 @@ def enumerate_outmap_functions(n: int) -> Iterator[Outmap]:
     _check_dimension(n)
     if n > 2:
         raise ResourceLimitError("the full function space is only enumerable for n <= 2")
-    for row in _function_values(n).tolist():
-        yield Outmap(n, tuple(row))
+    yield from _outmaps(n, _function_values(n))
 
 
 def _edge_list(n: int) -> list[tuple[int, int]]:
@@ -110,13 +119,12 @@ def enumerate_orientations(n: int) -> Iterator[Outmap]:
     _check_dimension(n)
     if n > 3:
         raise ResourceLimitError("orientation space is only enumerable for n <= 3")
-    for row in _orientation_values(n).tolist():
-        yield Outmap(n, tuple(row))
+    yield from _outmaps(n, _orientation_values(n))
 
 
 @lru_cache(maxsize=None)
-def _uso_values(n: int) -> tuple[tuple[int, ...], ...]:
-    """Values of every USO of the n-cube (n <= 3), in enumerate_usos order."""
+def _uso_values(n: int) -> np.ndarray:
+    """Values of every USO of the n-cube (n <= 3), read-only, in enumerate_usos order."""
     if n > 3:
         raise ResourceLimitError("exhaustive USO enumeration is capped at n = 3")
     vals = _function_values(n) if n <= 2 else _orientation_values(n)
@@ -125,7 +133,8 @@ def _uso_values(n: int) -> tuple[tuple[int, ...], ...]:
         # column idx reads 1 where the upper endpoint owns edge idx; lexsort's
         # last key is its primary one
         vals = vals[np.lexsort([vals[:, v] >> pos & 1 ^ 1 for v, pos in _edge_list(n)[::-1]])]
-    return tuple(map(tuple, vals.tolist()))
+    vals.flags.writeable = False
+    return vals
 
 
 def enumerate_usos(n: int) -> Iterator[Outmap]:
@@ -137,8 +146,7 @@ def enumerate_usos(n: int) -> Iterator[Outmap]:
     before one pointing down.
     """
     _check_dimension(n)
-    for values in _uso_values(n):
-        yield Outmap(n, values)
+    yield from _outmaps(n, _uso_values(n))
 
 
 def enumerate_pusos(n: int) -> Iterator[Outmap]:
@@ -147,8 +155,7 @@ def enumerate_pusos(n: int) -> Iterator[Outmap]:
     if n > 3:
         raise ResourceLimitError("exhaustive PUSO enumeration is capped at n = 3")
     vals = _orientation_values(n)
-    for row in vals[_puso_rows(_face_failures(vals, n), n)].tolist():
-        yield Outmap(n, tuple(row))
+    yield from _outmaps(n, vals[_puso_rows(_face_failures(vals, n), n)])
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +236,9 @@ def _odd_distance_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
     )
 
 
-def _sink_rows(values_list, m: int) -> np.ndarray:
-    """Sink vertex of every face with dim >= 1 (face_schedule order) for each USO given.
-
-    values_list holds value tuples, or is a (k, 2**m) array of them.
-    """
-    vals = np.asarray(values_list, dtype=np.uint32)
+def _sink_rows(vals: np.ndarray, m: int) -> np.ndarray:
+    """Sink vertex of every face with dim >= 1 (face_schedule order) for each row of
+    a (k, 2**m) array of USO values, as a read-only table."""
     lowers, uppers = face_schedule(m)
     # face-major in memory: the pair filter reads the sinks of one face at a time
     rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8, order="F")
@@ -242,6 +246,7 @@ def _sink_rows(values_list, m: int) -> np.ndarray:
         verts = np.fromiter(FaceSpec(lower, upper).vertices(), dtype=np.int64)
         block = vals[:, verts] & (lower ^ upper)
         rows[:, f] = verts[(block == 0).argmax(axis=1)]
+    rows.flags.writeable = False
     return rows
 
 
@@ -268,63 +273,63 @@ def _compose_valid_pattern(psi0, psi1, m, row0, row1, odd_pairs) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _odd_values(m: int) -> tuple[tuple[int, ...], ...]:
+def _odd_values(m: int) -> np.ndarray:
+    """Values of every odd USO of the m-cube (m <= 4), read-only; m <= 2 by is_odd's scan."""
     if m > 4:
         raise ResourceLimitError("odd USO lists are materialized up to n = 4 only")
     if m <= 2:
-        return tuple(phi.values for phi in enumerate_usos(m) if is_odd(phi)[0])
-    return tuple(_composed_odd(m - 1))
+        verts = np.arange(1 << m, dtype=np.uint16)
+        vals = _uso_values(m)[[_first_failing_pair(verts, row) is None for row in _uso_values(m)]]
+    else:
+        vals = np.concatenate(list(_composed_odd(m - 1)))
+    vals.flags.writeable = False
+    return vals
 
 
-def _composed_odd(m: int) -> Iterator[tuple[int, ...]]:
-    """Odd (m+1)-USOs composed from the dimension-m odd list, in enumeration order.
+def _composed_odd(m: int) -> Iterator[np.ndarray]:
+    """Odd (m+1)-USOs composed from the dimension-m odd list, one block per lower facet.
 
     For each lower facet in list order, _valid_upper_mask picks the upper
-    facets and _compose_block builds their records as one block: every
-    accepted upper, in list order, gives its seed-0 composition and then
-    the flipped one.  The block becomes tuples 256 rows at a time, because
-    a whole facet's lists (about 1.3 MB at m = 4) raised peak memory.
+    facets and _compose_block builds their records as one (2k, 2**(m+1))
+    block: every accepted upper, in list order, gives its seed-0
+    composition and then the flipped one.
     """
     nib, rows = _facet_arrays(m)
     for i0 in range(len(nib)):
         valid, patterns = _valid_upper_mask(i0, nib, rows, m)
         uppers = np.flatnonzero(valid)
-        block = _compose_block(nib[i0], nib[uppers], patterns[uppers], m)
-        for lo in range(0, len(block), 256):
-            yield from map(tuple, block[lo : lo + 256].tolist())
+        yield _compose_block(nib[i0], nib[uppers], patterns[uppers], m)
 
 
 def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
     """All odd USOs of the n-cube; n <= 4 by default, n = 5 behind allow_large.
 
-    Dimension 5 is a stream over ~3.3e8 composition candidates (the valid
-    ones are found with the vectorized pair filter); it does not cache.
+    Dimension 5 is a stream over ~3.3e8 composition candidates, one lower
+    facet's block at a time (the vectorized pair filter finds the valid
+    ones); it does not cache.
     """
     if n > 5 or (n == 5 and not allow_large):
         raise ResourceLimitError(
             "odd enumeration is capped at n = 4 (n = 5 via the long-running opt-in)"
         )
-    values_iter = _odd_values(n) if n <= 4 else _composed_odd(4)
-    for values in values_iter:
-        yield Outmap(n, values)
+    for block in [_odd_values(n)] if n <= 4 else _composed_odd(4):
+        yield from _outmaps(n, block)
 
 
 # ---------------------------------------------------------------------------
 # counting
 
 
-def _facet_arrays(m: int):
-    """Value matrix and sink table of the full dimension-m odd USO list."""
-    nib = np.asarray(_odd_values(m), dtype=np.uint32)
-    return nib, _sink_rows(nib, m)
+def _facet_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The full dimension-m odd USO list (_odd_values) and its sink table, both read-only.
+    The table is built per call: cached, it raised the exhaustive benchmark's peak RSS."""
+    return _odd_values(m), _sink_rows(_odd_values(m), m)
 
 
 @lru_cache(maxsize=None)
 def _uso_sink_rows(m: int) -> np.ndarray:
     """Sink table of the full dimension-m USO list (read-only)."""
-    rows = _sink_rows(_uso_values(m), m)
-    rows.flags.writeable = False
-    return rows
+    return _sink_rows(_uso_values(m), m)
 
 
 def _valid_upper_mask(i0: int, nib: np.ndarray, rows: np.ndarray, m: int):
@@ -341,7 +346,7 @@ def _valid_upper_mask(i0: int, nib: np.ndarray, rows: np.ndarray, m: int):
     count = nib.shape[0]
     size = 1 << m
     lower = nib[i0].tolist()
-    cols = np.ascontiguousarray(nib.T, dtype=np.uint16)
+    cols = nib.T.copy()  # a copy even where nib.T is contiguous: cols is written below
     g = np.zeros(count, dtype=np.uint16)
     for v in range(1, size):
         bit = v & -v
@@ -731,7 +736,7 @@ def random_uso(n: int, rng) -> Outmap:
     """Random USO: sampled from the full list for n <= 3, composed for n = 4."""
     _check_dimension(n)
     if n <= 3:
-        return Outmap(n, rng.choice(_uso_values(n)))
+        return Outmap(n, tuple(rng.choice(_uso_values(n)).tolist()))
     if n != 4:
         raise ResourceLimitError("random USOs are supported for n <= 4")
     values_list = _uso_values(3)
@@ -741,14 +746,14 @@ def random_uso(n: int, rng) -> Outmap:
     roots = _sink_components(rows[i0], rows[i1 : i1 + 1], 8)[0].tolist()
     root_bits = {root: rng.getrandbits(1) for root in sorted(set(roots))}
     pattern = sum(root_bits[root] << v for v, root in enumerate(roots))
-    block = _compose_block(values_list[i0], np.array([values_list[i1]]), np.array([pattern]), 3)
+    block = _compose_block(values_list[i0], values_list[i1 : i1 + 1], np.array([pattern]), 3)
     return Outmap(4, tuple(block[0].tolist()))
 
 
 def random_odd(n: int, rng) -> Outmap:
     """Random odd USO sampled from the full list (n <= 4)."""
     _check_dimension(n)
-    return Outmap(n, rng.choice(_odd_values(n)))
+    return Outmap(n, tuple(rng.choice(_odd_values(n)).tolist()))
 
 
 def random_puso(n: int, rng) -> Outmap:

@@ -35,6 +35,7 @@ from uso_kit import (
     random_puso,
     random_uso,
 )
+from uso_kit import cli
 from uso_kit.cli import main, read_outmap_stream
 
 from conftest import BORDER_3, EYE, KM_3, TWIN_PEAK
@@ -324,6 +325,19 @@ def test_negative_dimensions_are_usage_errors(capsys, argv):
 
 def test_count_beyond_scope(capsys):
     assert run(capsys, "count", "--max-n", "6")[0] == 3
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    """numpy's _ArrayMemoryError is a MemoryError; the CLI maps it to exit 3."""
+    path = write_uso(tmp_path, "km.uso", klee_minty(3).values)
+
+    def exhausted(phi, counter=None):
+        raise MemoryError("Unable to allocate 4.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "classify", exhausted)
+    code, out, err = run(capsys, "check", path)
+    assert (code, out) == (3, "")
+    assert err == "error: out of memory: Unable to allocate 4.00 GiB for an array\n"
 
 
 def test_count_has_no_job_count(capsys, monkeypatch):

@@ -219,7 +219,7 @@ def test_composition_filter_matches_generic_odd_test_m4():
     odd USOs and a rejected pair none.
     """
     m = 4
-    prev = enumeration._odd_values(m)
+    prev = enumeration._odd_values(m).tolist()
     nib, rows = enumeration._facet_arrays(m)
     flip_all = (1 << (1 << m)) - 1
     rng = random.Random(45)
@@ -288,18 +288,19 @@ def test_odd_lists_match_scalar_composition(n):
     odd_pairs = enumeration._odd_distance_pairs(m)
     flip_all = (1 << (1 << m)) - 1
     expected = []
-    for psi0, row0 in zip(prev, rows):
-        for psi1, row1 in zip(prev, rows):
+    for psi0, row0 in zip(prev.tolist(), rows):
+        for psi1, row1 in zip(prev.tolist(), rows):
             g = enumeration._compose_valid_pattern(psi0, psi1, m, row0, row1, odd_pairs)
             if g is not None:
                 expected.append(tuple(_compose_build(psi0, psi1, m, g)))
                 expected.append(tuple(_compose_build(psi0, psi1, m, g ^ flip_all)))
-    assert tuple(enumeration._composed_odd(m)) == tuple(expected)
+    composed = [tuple(row) for block in enumeration._composed_odd(m) for row in block.tolist()]
+    assert tuple(composed) == tuple(expected)
     if n >= 3:
-        assert enumeration._odd_values(n) == tuple(expected)
+        assert tuple(map(tuple, enumeration._odd_values(n).tolist())) == tuple(expected)
     else:
         # the lists below n = 3 come from brute force, in lexicographic order
-        assert sorted(enumeration._odd_values(n)) == sorted(expected)
+        assert sorted(map(tuple, enumeration._odd_values(n).tolist())) == sorted(expected)
 
 
 def test_compose_block_matches_scalar_composer_m4():
@@ -309,7 +310,7 @@ def test_compose_block_matches_scalar_composer_m4():
     out over several 256-row slices.
     """
     m = 4
-    prev = enumeration._odd_values(m)
+    prev = enumeration._odd_values(m).tolist()
     nib, rows = enumeration._facet_arrays(m)
     flip_all = (1 << (1 << m)) - 1
     for i0 in [0, *random.Random(47).sample(range(len(prev)), 3)]:
@@ -325,7 +326,8 @@ def test_compose_block_matches_scalar_composer_m4():
         assert list(map(tuple, block.tolist())) == expected, i0
         if i0 == 0:
             assert len(expected) > 3 * 256
-            assert list(itertools.islice(enumeration._composed_odd(m), len(expected))) == expected
+            stream = enumerate_odd(m + 1, allow_large=True)
+            assert [phi.values for phi in itertools.islice(stream, len(expected))] == expected
 
 
 # connect_facets on every ordered pair of odd(2), lower-major: the seed-0
@@ -400,6 +402,37 @@ def test_uso_four_dimensional_count():
     # the orbit-weighted sum against the full unweighted sum over all 744 x 744 pairs
     rows = enumeration._sink_rows(enumeration._uso_values(3), 3)
     assert enumeration._uso_successor_worker((rows, 8, 0, 744)) == 5_541_744
+
+
+@pytest.mark.parametrize(
+    "name, dims",
+    [("_uso_values", range(4)), ("_odd_values", range(5)), ("_uso_sink_rows", range(4))],
+)
+def test_class_lists_are_cached_read_only_arrays(name, dims):
+    """One object per dimension, in _vertex_dtype(n) for values (uint8 for sink
+    tables), that refuses writes."""
+    for n in dims:
+        got = getattr(enumeration, name)(n)
+        assert getattr(enumeration, name)(n) is got
+        assert got.dtype == (np.uint8 if name == "_uso_sink_rows" else cube._vertex_dtype(n))
+        with pytest.raises(ValueError):
+            got[0, 0] = 0
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_facet_arrays_are_the_odd_list_and_a_read_only_sink_table(m):
+    nib, rows = enumeration._facet_arrays(m)
+    assert nib is enumeration._odd_values(m) and rows.dtype == np.uint8
+    assert (rows == enumeration._sink_rows(nib, m)).all()
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_odd_lists_below_three_match_is_odd_on_every_uso(m):
+    """Second method: the full is_odd, its USO check included, on each Outmap."""
+    expected = [phi.values for phi in enumerate_usos(m) if is_odd(phi)[0]]
+    assert list(map(tuple, enumeration._odd_values(m).tolist())) == expected
 
 
 def test_uso_sink_table_is_cached():
@@ -483,7 +516,7 @@ def test_collision_sum_matches_sink_components_per_lower_facet():
 
 
 def test_cold_count_table_builds_no_three_dimensional_outmap(monkeypatch):
-    """The uso4 cell and the n <= 3 checks read value arrays, not validated 3-outmaps."""
+    """The uso4 cell and the n <= 3 checks read value arrays and build no Outmap at all."""
     for module in (cube, recognition, classes, constructions, enumeration):
         for obj in vars(module).values():
             if callable(getattr(obj, "cache_clear", None)):
@@ -497,7 +530,7 @@ def test_cold_count_table_builds_no_three_dimensional_outmap(monkeypatch):
 
     monkeypatch.setattr(Outmap, "__post_init__", spy)
     assert count_table(4, ("uso4",)).rows[4].uso == 5_541_744
-    assert built and set(built) <= {0, 1, 2}
+    assert built == []
 
 
 def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
@@ -580,8 +613,8 @@ def test_lower_facet_totals_are_constant_on_orbits(kind, m, orbits):
             enumeration._odd_successor_worker((nib, rows, m, i, i + 1)) for i in range(len(values))
         ]
     by_orbit: dict[bytes, set[int]] = {}
-    for facet, total in zip(values, totals):
-        by_orbit.setdefault(_scalar_canonical_body(Outmap(m, facet)), set()).add(total)
+    for facet, total in zip(values.tolist(), totals):
+        by_orbit.setdefault(_scalar_canonical_body(Outmap(m, tuple(facet))), set()).add(total)
     assert len(by_orbit) == orbits
     assert all(len(found) == 1 for found in by_orbit.values())
 
