@@ -15,24 +15,24 @@ is_border, is_odd and puso_parity need a USO or a PUSO.  When
 recognition.classify has already decided the outmap, they read its verdict
 from the outmap's memo (see cube.Outmap) instead of scanning every face
 again, but still charge the counter the 3**n - 2**n pair evaluations of
-that scan.  Inverses are one numpy scatter with a bijectivity check.
+that scan.  Inverses and caps read the carrier key map of cube._carrier_keys.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+from functools import lru_cache
 
 import numpy as np
 
 from .cube import (
     FaceSpec,
     Outmap,
-    _face_vertices,
+    _carrier_keys,
     _memo,
     _values,
     _vertex_dtype,
-    faces_iter,
     full_mask,
 )
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
@@ -52,15 +52,15 @@ def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
     NotBijectiveError naming the first two vertices, in vertex order, that
     share a value.
     """
-    carrier = face.carrier
-    verts = _face_vertices(phi.n, face)
-    keys = _values(phi)[verts] & carrier
+    keys = _carrier_keys(phi, face)
+    verts = np.flatnonzero(keys & (full_mask(phi.n) ^ face.carrier) == face.lower)
+    values = keys[verts] ^ face.lower  # a face vertex is keyed lower | induced value
     inverse = np.zeros(1 << phi.n, dtype=verts.dtype)
-    inverse[keys] = verts
-    if not np.array_equal(inverse[keys], verts):
-        # a shared key: the loop names the first vertex whose key was seen before
+    inverse[values] = verts
+    if not np.array_equal(inverse[values], verts):
+        # a shared value: the loop names the first vertex whose value was seen before
         seen: dict[int, int] = {}
-        for v, key in zip(verts.tolist(), keys.tolist()):
+        for v, key in zip(verts.tolist(), values.tolist()):
             if key in seen:
                 raise NotBijectiveError(
                     f"outmap is not bijective: vertices {seen[key]} and {v} share value {key:#b}"
@@ -112,6 +112,16 @@ def _class_tiles(members: np.ndarray, cls: int):
         start = stop
 
 
+@lru_cache(maxsize=None)
+def _vertex_parity(n: int) -> np.ndarray:
+    """Popcount parity of every vertex, read-only: parity[v + 2**k] = parity[v] ^ 1."""
+    parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        parity = np.concatenate([parity, parity ^ 1])
+    parity.flags.writeable = False
+    return parity
+
+
 def _first_failing_pair(p: np.ndarray, q: np.ndarray):
     """Lexicographically first failing pair (U, V), U < V, or None.
 
@@ -121,11 +131,8 @@ def _first_failing_pair(p: np.ndarray, q: np.ndarray):
     until one starts past the best failing U.  p is a bijection, so a
     tile's diagonal entries are its only trivial matches.
     """
-    # prefix-XOR folds leave the parity of each p in its bit 0
-    parity, shift = p, 1
-    while 1 << shift < len(p):
-        parity, shift = parity ^ parity >> shift, shift << 1
-    classes = [np.flatnonzero(parity & 1 == cls) for cls in (0, 1)]
+    parity = _vertex_parity(len(p).bit_length() - 1)[p]
+    classes = [np.flatnonzero(parity == cls) for cls in (0, 1)]
     sides = [(members, p[members], ~q[members], q[members]) for members in classes]
     best = None
     tiles = heapq.merge(*(_class_tiles(members, cls) for cls, members in enumerate(classes)))
@@ -200,8 +207,6 @@ def complementary_vertex(phi: Outmap, w: int, face: FaceSpec | None = None) -> i
     """
     if face is None:
         face = phi.whole_face()
-    if face.upper > full_mask(phi.n):
-        raise ValueError("face does not fit inside the cube")
     if not face.contains(w):
         raise ValueError(f"vertex {w:#b} lies outside the face")
     carrier = face.carrier
@@ -218,6 +223,22 @@ def complementary_pairs(phi: Outmap, face: FaceSpec | None = None) -> tuple[tupl
     return tuple(zip(verts[keep].tolist(), partners[keep].tolist()))
 
 
+def _caps(phi: Outmap, face: FaceSpec) -> np.ndarray:
+    """Whether each face parallel to `face` is a cap, indexed by its lower vertex
+    (other entries True; a vertex reads False).  A face fails where two of its
+    vertices share a key, or where its vertices keyed k and k ^ c are at even distance.
+    """
+    keys = _carrier_keys(phi, face)
+    verts = np.arange(1 << phi.n, dtype=keys.dtype)
+    inverse = np.zeros_like(keys)
+    inverse[keys] = verts
+    parity = _vertex_parity(phi.n)[inverse]
+    bad = (inverse[keys] != verts) | (parity == parity[verts ^ face.carrier])
+    caps = np.ones(1 << phi.n, dtype=bool)
+    caps[verts[bad] & (full_mask(phi.n) ^ face.carrier)] = False
+    return caps
+
+
 def is_cap(phi: Outmap, face: FaceSpec | None = None) -> bool:
     """True iff the face's induced outmap is bijective with every complementary
     pair at odd Hamming distance.  Vertices (dimension 0) are trivially caps;
@@ -225,18 +246,13 @@ def is_cap(phi: Outmap, face: FaceSpec | None = None) -> bool:
     """
     if face is None:
         face = phi.whole_face()
-    if face.carrier == 0:
-        return True
-    try:
-        pairs = complementary_pairs(phi, face)
-    except NotBijectiveError:
-        return False
-    return all((w ^ partner).bit_count() & 1 for w, partner in pairs)
+    # _caps checks that the face fits, a vertex included, and reads False at a vertex
+    return bool(_caps(phi, face)[face.lower]) or face.carrier == 0
 
 
 def all_faces_caps(phi: Outmap) -> bool:
     """True iff every one of the 3**n faces is a cap (equivalent to odd for USOs)."""
-    return all(is_cap(phi, face) for face in faces_iter(phi.n))
+    return all(_caps(phi, FaceSpec(0, c)).all() for c in range(1, 1 << phi.n))
 
 
 def puso_parity(phi: Outmap, counter: PairEvalCounter | None = None) -> Parity:

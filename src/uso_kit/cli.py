@@ -9,8 +9,8 @@ argument accepts "-" for stdin and results go to stdout.  Exit codes:
      (not bijective, not a USO, not an orientation, vertex not
      complementable, ...)
 * 2  usage errors: unknown flags, malformed option values
-* 3  unreadable or malformed input files, or a request beyond the
-     supported resource limits or the memory available
+* 3  unreadable, malformed or non-UTF-8 input files, or a request beyond
+     the supported resource limits or the memory available
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from .constructions import (
     odd_family,
 )
 from .cube import (
-    MAX_DIM,
     Outmap,
-    _parse_lines,
     emit_uso,
     face_sinks,
     mask_from_coords,
     parse_uso,
+    read_outmap_stream,
     value_line,
 )
 from .enumeration import (
@@ -63,43 +62,14 @@ from .recognition import (
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"input is not UTF-8: {exc}") from None
 
 
 def _read_outmap(path: str) -> Outmap:
     return parse_uso(_read_text(path))
-
-
-def read_outmap_stream(text: str) -> list[Outmap]:
-    """Parse concatenated .uso records; blank lines between records are skipped.
-
-    The text is split into lines once; each record is parsed from its slice
-    of them by the parser behind parse_uso, so a record's FormatError cites
-    its line within the record.
-    """
-    lines = text.splitlines()
-    outmaps: list[Outmap] = []
-    pos = 0
-    while pos < len(lines):
-        if not lines[pos].strip():
-            pos += 1
-            continue
-        try:
-            n = int(lines[pos])
-        except ValueError:
-            raise FormatError(
-                f"record {len(outmaps) + 1}: expected a dimension line, got {lines[pos]!r}"
-            ) from None
-        if not 0 <= n <= MAX_DIM:
-            raise FormatError(f"record {len(outmaps) + 1}: dimension {n} outside 0..{MAX_DIM}")
-        try:
-            outmaps.append(_parse_lines(lines[pos : pos + 1 + (1 << n)]))
-        except FormatError as exc:
-            raise FormatError(f"record {len(outmaps) + 1}: {exc}") from None
-        pos += 1 + (1 << n)
-    return outmaps
 
 
 def _parse_vertex(text: str, n: int) -> int:
@@ -419,7 +389,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FormatError, ResourceLimitError) as exc:
+    except (FormatError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
@@ -431,9 +401,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -179,31 +179,18 @@ class CodewordSet:
 def hamming_codewords(n: int) -> CodewordSet:
     """Kernel of the parity-check matrix whose column j is the binary expansion of j.
 
-    Requires n = 2**k with k >= 2; block length is n - 1 and the code has
-    2**(n - 1 - k) words of pairwise Hamming distance >= 3.  The block
-    length is the dimension of the family's cube, so it is checked first.
+    Requires n = 2**k with k >= 2.  The code is the 2**(n - 1 - k) words of
+    n - 1 bits whose set positions j XOR to 0, pairwise at distance >= 3.
+    The block length n - 1 is the family's cube dimension, so it is checked first.
     """
     _check_dimension(n - 1)
     if n < 4 or n & (n - 1):
         raise ValueError("the code is defined for n = 2**k with k >= 2")
-    k = n.bit_length() - 1
-    m = n - 1
-    parity_positions = [1 << t for t in range(k)]
-    data_positions = [p for p in range(1, m + 1) if p & (p - 1)]
-    words = []
-    for data in range(1 << len(data_positions)):
-        word = 0
-        syndrome = 0
-        for j, p in enumerate(data_positions):
-            if data >> j & 1:
-                word |= 1 << (p - 1)
-                syndrome ^= p
-        for t, p in enumerate(parity_positions):
-            if syndrome >> t & 1:
-                word |= 1 << (p - 1)
-        words.append(word)
-    words.sort()
-    return CodewordSet(m, tuple(words))
+    words = np.arange(1 << (n - 1))
+    syndrome = np.zeros_like(words)
+    for j in range(1, n):
+        syndrome ^= (words >> (j - 1) & 1) * j
+    return CodewordSet(n - 1, tuple(np.flatnonzero(syndrome == 0).tolist()))
 
 
 def odd_family(n: int, selector: int) -> Outmap:

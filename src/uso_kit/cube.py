@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_
+from operator import index, or_
 from typing import Iterator
 
 import numpy as np
@@ -180,18 +180,21 @@ def _vertex_dtype(n: int):
 class Outmap:
     """Dense outmap of the standard n-cube: values[v] = outgoing set of vertex v.
 
-    An outmap is immutable, so it keeps one private memo of facts derived
-    from its values, each stored on first use: the values as a read-only
-    numpy array in _vertex_dtype(n) (see _values), and the Verdict that
-    recognition.classify found, which classes reads instead of proving the
-    outmap a USO or PUSO again.  The memo is not a field: equality, hashing,
-    repr, copies and pickles see n and values only.
+    values may be any iterable of ints (a list, a numpy array); it is stored
+    as a tuple.  An outmap is immutable, so it keeps one private memo of facts
+    derived from its values, each stored on first use: the values as a
+    read-only numpy array in _vertex_dtype(n) (see _values), and the Verdict
+    that recognition.classify found, which classes reads instead of proving
+    the outmap a USO or PUSO again.  The memo is not a field: equality,
+    hashing, repr, copies and pickles see n and values only.
     """
 
     n: int
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.values) is not tuple:
+            object.__setattr__(self, "values", tuple(map(index, self.values)))
         if not 0 <= self.n <= MAX_DIM:
             raise ValueError(f"dimension must be within 0..{MAX_DIM}")
         if len(self.values) != 1 << self.n:
@@ -237,25 +240,24 @@ def _values(phi: Outmap) -> np.ndarray:
     return array
 
 
-def _face_vertices(n: int, face: FaceSpec) -> np.ndarray:
-    """Vertices of a face of the n-cube in increasing order: those that agree
-    with face.lower outside the carrier."""
-    full = full_mask(n)
+def _carrier_keys(phi: Outmap, face: FaceSpec) -> np.ndarray:
+    """Key of every vertex v for the face's carrier c: v outside c, phi(v) inside c.
+
+    Keys stay in v's face parallel to `face`: a face's sinks are keyed with its lower
+    vertex, and when its keys are distinct, v's complementary vertex is keyed key(v) ^ c."""
+    full = full_mask(phi.n)
     if face.upper > full:
         raise ValueError("face does not fit inside the cube")
-    return np.flatnonzero((np.arange(full + 1) ^ face.lower) & (full ^ face.carrier) == 0)
+    verts = np.arange(full + 1, dtype=_vertex_dtype(phi.n))
+    return verts & (full ^ face.carrier) | _values(phi) & face.carrier
 
 
 def face_sinks(phi: Outmap, face: FaceSpec | None = None) -> tuple[int, ...]:
-    """Vertices of a face with no outgoing coordinate inside the face, increasing.
-
-    One numpy selection over the face's vertices, reading the values array
-    the outmap keeps in its memo.
-    """
+    """Vertices of a face with no outgoing coordinate inside the face, increasing:
+    those keyed with the face's lower vertex (see _carrier_keys)."""
     if face is None:
         face = phi.whole_face()
-    verts = _face_vertices(phi.n, face)
-    return tuple(verts[_values(phi)[verts] & face.carrier == 0].tolist())
+    return tuple(np.flatnonzero(_carrier_keys(phi, face) == face.lower).tolist())
 
 
 def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
@@ -282,14 +284,40 @@ def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
 
 def parse_uso(text: str) -> Outmap:
     """Parse the .uso text format; raises FormatError with a line number."""
-    return _parse_lines(text.splitlines())
+    lines = text.splitlines()
+    phi, end = _parse_record(lines, 0)
+    if end < len(lines):
+        raise FormatError(
+            f"expected {end - 1} vertex lines for dimension {phi.n}, got {len(lines) - 1}",
+            line=end + 1,
+        )
+    return phi
 
 
-def _parse_lines(lines: list[str]) -> Outmap:
-    """Parse one .uso record given as its lines; line numbers count from its header."""
-    if not lines:
+def read_outmap_stream(text: str) -> list[Outmap]:
+    """Parse concatenated .uso records, skipping blank lines between them; a
+    record's FormatError names the record and its line within the record."""
+    lines = text.splitlines()
+    outmaps: list[Outmap] = []
+    pos = 0
+    while pos < len(lines):
+        if not lines[pos].strip():
+            pos += 1
+            continue
+        try:
+            phi, pos = _parse_record(lines, pos)
+        except FormatError as exc:
+            raise FormatError(f"record {len(outmaps) + 1}: {exc}") from None
+        outmaps.append(phi)
+    return outmaps
+
+
+def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
+    """The .uso record whose dimension line is lines[start], and the index past
+    its last line; error line numbers count from its dimension line."""
+    if start == len(lines):
         raise FormatError("empty input", line=1)
-    head = lines[0].strip()
+    head = lines[start].strip()
     try:
         n = int(head, 10)
     except ValueError:
@@ -297,15 +325,16 @@ def _parse_lines(lines: list[str]) -> Outmap:
     if not 0 <= n <= MAX_DIM:
         raise FormatError(f"dimension {n} outside 0..{MAX_DIM}", line=1)
     expected = 1 << n
-    if len(lines) - 1 != expected:
+    end = start + 1 + expected
+    rows = lines[start + 1 : end]
+    if len(rows) < expected:
         raise FormatError(
-            f"expected {expected} vertex lines for dimension {n}, got {len(lines) - 1}",
-            line=len(lines) + 1 if len(lines) - 1 < expected else expected + 2,
+            f"expected {expected} vertex lines for dimension {n}, got {len(rows)}",
+            line=len(rows) + 2,
         )
-    rows = lines[1:]
     if n <= 10:
         try:
-            return Outmap(n, tuple(map(_line_values(n).__getitem__, rows)))
+            return Outmap(n, tuple(map(_line_values(n).__getitem__, rows))), end
         except KeyError:
             pass  # a malformed row: the checks below name it
     else:
@@ -317,7 +346,7 @@ def _parse_lines(lines: list[str]) -> Outmap:
             if digits.min() >= 48 and digits.max() <= 49:
                 # one column at a time, so no temporary holds more than one uint32 per row
                 values = sum((digits[:, i] & 1).astype(np.uint32) << i for i in range(n))
-                return Outmap(n, tuple(values.tolist()))
+                return Outmap(n, tuple(values.tolist())), end
     # some row is malformed: name the first one and its first bad character
     for v, row in enumerate(rows):
         if len(row) != n:

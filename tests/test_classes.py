@@ -28,6 +28,7 @@ from uso_kit import (
     enumerate_pusos,
     enumerate_usos,
     face_sinks,
+    faces_iter,
     flip,
     is_border,
     is_cap,
@@ -38,7 +39,7 @@ from uso_kit import (
     random_outmap,
     random_uso,
 )
-from uso_kit import classes, cube, recognition
+from uso_kit import classes, cube, enumeration, recognition
 
 from conftest import BORDER_3, BOW, CYCLE, EMBEDDED_TWIN_PEAK, EYE, KM_3, TWIN_PEAK
 
@@ -534,3 +535,66 @@ def test_numpy_inverse_matches_the_per_vertex_loop():
             if face.carrier == (1 << phi.n) - 1:
                 assert dual(phi).values == tuple(inverse[k] for k in range(1 << phi.n))
     assert bijective > 50 and colliding > 20
+
+
+# ---------------------------------------------------------------------------
+# the carrier-key cap check against the per-face check it replaced
+
+
+def _cap_oracle(phi, face):
+    """One face at a time: its complementary pairs, a collision meaning no cap."""
+    if face.carrier == 0:
+        return True
+    try:
+        pairs = complementary_pairs(phi, face)
+    except NotBijectiveError:
+        return False
+    return all((w ^ partner).bit_count() & 1 for w, partner in pairs)
+
+
+def _cap_subjects(rng):
+    """Random outmaps, flipped Klee-Minty cubes, cyclic PUSOs and random USOs, n <= 6."""
+    for n in range(7):
+        for _ in range(3):
+            yield random_outmap(n, rng)
+            yield flip(klee_minty(n), rng.getrandbits(n))
+        if n >= 2:
+            yield cyclic_puso(n)
+    for n in range(5):
+        for _ in range(4):
+            yield random_uso(n, rng)
+
+
+def test_is_cap_and_all_faces_caps_match_the_per_face_check():
+    rng = random.Random(2101)
+    seen = set()
+    for phi in _cap_subjects(rng):
+        oracle = [_cap_oracle(phi, face) for face in faces_iter(phi.n)]
+        assert [is_cap(phi, face) for face in faces_iter(phi.n)] == oracle
+        assert all_faces_caps(phi) == all(oracle)
+        seen.update(oracle)
+        seen.add(("whole cube", all(oracle)))
+    assert seen == {True, False, ("whole cube", True), ("whole cube", False)}
+
+
+def test_is_odd_equals_all_faces_caps_on_odd_4_usos_random_4_usos_and_the_family():
+    rng = random.Random(2102)
+    rows = enumeration._odd_values(4)
+    for i in rng.sample(range(len(rows)), 1000):
+        phi = Outmap(4, tuple(rows[i].tolist()))
+        assert is_odd(phi)[0] and all_faces_caps(phi)
+    odd = 0
+    for _ in range(300):
+        phi = random_uso(4, rng)
+        assert is_odd(phi)[0] == all_faces_caps(phi)
+        odd += all_faces_caps(phi)
+    assert odd < 300
+    for _ in range(10):
+        phi = odd_family(8, rng.getrandbits(16))
+        assert is_odd(phi)[0] and all_faces_caps(phi)
+
+
+@pytest.mark.parametrize("face", [FaceSpec(4, 4), FaceSpec(0, 4), FaceSpec(1, 7)])
+def test_is_cap_refuses_a_face_outside_the_cube(face):
+    with pytest.raises(ValueError, match="face does not fit inside the cube"):
+        is_cap(klee_minty(2), face)

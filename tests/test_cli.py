@@ -95,6 +95,18 @@ def test_check_reads_stdin(capsys, monkeypatch):
     assert code == 0
 
 
+def test_input_that_is_not_utf8_exits_3(tmp_path, capsys, monkeypatch):
+    data = emit_uso(klee_minty(2)).encode().replace(b"11", b"1\xff")
+    path = tmp_path / "bad.uso"
+    path.write_bytes(data)
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    for source in (str(path), "-"):
+        code, out, err = run(capsys, "check", source)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_class_json_fields(tmp_path, capsys):
     path = write_uso(tmp_path, "km.uso", KM_3)
     code, out, _ = run(capsys, "class", path)
@@ -510,7 +522,8 @@ def test_read_outmap_stream_reports_record(capsys):
             "record 2: line 4: expected 4 vertex lines for dimension 2, got 2",
         ),
         ("1\n0\n11\n", "record 1: line 3: expected exactly 1 characters, got 2"),
-        ("30\n", "record 1: dimension 30 outside 0..20"),
+        ("30\n", "record 1: line 1: dimension 30 outside 0..20"),
+        ("1\n0\n1\nbogus\n", "record 2: line 1: expected a decimal dimension, got 'bogus'"),
         ("0\n1\n", "record 1: line 2: expected exactly 0 characters, got 1"),
         ("1\n0\n1\n\n\n1\n1\n \n", "record 2: line 3: invalid character ' '"),
         ("2\r\n00\r\n10\r\n01\r\n1\u0661\r\n", "record 1: line 5: invalid character '\u0661'"),

@@ -153,6 +153,19 @@ def test_outmap_refuses_non_integer_values():
         Outmap(1, (0.5, 1))
     with pytest.raises(TypeError):
         Outmap(2, (0, 1.0, 2, 3))
+    with pytest.raises(TypeError):
+        Outmap(1, [0.5, 1])
+    with pytest.raises(TypeError):
+        Outmap(2, np.array([0, 1, 3, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "convert", [list, lambda values: np.array(values, dtype=np.uint16)], ids=["list", "uint16"]
+)
+def test_outmap_stores_list_and_array_values_as_a_tuple_of_ints(convert):
+    phi, twin = Outmap(2, convert(BOW)), Outmap(2, BOW)
+    assert type(phi.values) is tuple and {type(v) for v in phi.values} == {int}
+    assert phi == twin and hash(phi) == hash(twin) and repr(phi) == repr(twin)
 
 
 def test_face_sinks_on_fixed_outmaps():
@@ -227,6 +240,7 @@ def test_parse_zero_dimensional():
         ("1\n0\n1\nextra\n", None),    # surplus body line
         ("2\n0\n10\n01\n11\n", 2),     # wrong width
         ("2\n0x\n10\n01\n11\n", 2),    # bad character
+        ("2\n0x\n10\n01\n11\n\n", 2),  # the bad character comes before the surplus line
     ],
 )
 def test_parse_errors_cite_line(text, line):
