@@ -71,7 +71,7 @@ def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def dual(phi: Outmap) -> Outmap:
     """Inverse outmap phi**-1; requires phi to be a bijection on vertices."""
-    return Outmap(phi.n, tuple(_face_inverse(phi, phi.whole_face())[1].tolist()))
+    return Outmap(phi.n, _face_inverse(phi, phi.whole_face())[1])
 
 
 def _has_verdict(phi: Outmap, verdict: Verdict, scan, counter: PairEvalCounter | None) -> bool:

@@ -256,9 +256,9 @@ def export_dot(phi: Outmap) -> str:
     """GraphViz digraph of an orientation: one node per vertex, one arc per edge."""
     ok, witness = is_orientation(phi)
     if not ok:
-        u, v = witness
+        v, i = witness  # the edge's lower endpoint and its coordinate
         raise NotAnOrientationError(
-            f"edge between {value_line(u, phi.n)} and {value_line(v, phi.n)} "
+            f"edge between {value_line(v, phi.n)} and {value_line(v | 1 << (i - 1), phi.n)} "
             "is not consistently directed"
         )
     lines = ["digraph cube {", "  rankdir=BT;"]
@@ -268,10 +268,8 @@ def export_dot(phi: Outmap) -> str:
         for pos in range(phi.n):
             if not v >> pos & 1:
                 w = v | 1 << pos
-                if phi.values[v] >> pos & 1:
-                    lines.append(f"  v{v} -> v{w};")
-                else:
-                    lines.append(f"  v{w} -> v{v};")
+                tail, head = (v, w) if phi.values[v] >> pos & 1 else (w, v)
+                lines.append(f"  v{tail} -> v{head};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

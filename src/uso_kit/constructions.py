@@ -101,7 +101,7 @@ def cyclic_puso(n: int, perm: CyclicPermutation | None = None) -> Outmap:
     moved = np.zeros_like(v)
     for i in range(1, n + 1):
         moved |= (v >> (perm(i) - 1) & 1) << (i - 1)
-    return Outmap(n, tuple((v ^ moved).tolist()))
+    return Outmap(n, v ^ moved)
 
 
 def klee_minty(n: int) -> Outmap:
@@ -113,7 +113,7 @@ def klee_minty(n: int) -> Outmap:
     while s < n:
         values ^= values >> s
         s <<= 1
-    return Outmap(n, tuple(values.tolist()))
+    return Outmap(n, values)
 
 
 def extend_border(psi: Outmap, bit: int) -> Outmap:
@@ -122,8 +122,9 @@ def extend_border(psi: Outmap, bit: int) -> Outmap:
     On the lower facet, vertices keep their value when its parity equals
     bit and additionally leave along the new top coordinate otherwise; the
     upper facet mirrors the lower one antipodally, so all antipodal values
-    coincide.  When psi is a border USO the result is a PUSO (for either
-    bit); when psi is merely a USO the result still has all proper faces
+    coincide.  When psi is a border USO with psi.n >= 1 the result is a
+    PUSO for either bit (from psi.n = 0 it is no orientation: no 1-cube is
+    a PUSO); when psi is merely a USO the result still has all proper faces
     USO no deeper than the facets, which the recognizers sort out.
     Raises NotAUsoError unless psi is a USO.
     """

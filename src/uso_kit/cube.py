@@ -17,9 +17,10 @@ text serialization is:
                         coordinate i is outgoing at that vertex
 
 A face is a closed interval [lower, upper] with lower <= upper as sets; its
-carrier upper XOR lower holds the coordinates that vary on the face.  The
-only coordinate relabeling in the package happens in induced_outmap, which
-compresses carrier coordinates onto 1..dim in increasing order.
+carrier upper XOR lower holds the coordinates that vary on the face.
+induced_outmap compresses carrier coordinates onto 1..dim in increasing
+order; the only other coordinate relabeling in the package is
+enumeration's symmetry gather, which relabels outmaps to canonical form.
 """
 
 from __future__ import annotations
@@ -181,19 +182,22 @@ class Outmap:
     """Dense outmap of the standard n-cube: values[v] = outgoing set of vertex v.
 
     values may be any iterable of ints (a list, a numpy array); it is stored
-    as a tuple.  An outmap is immutable, so it keeps one private memo of facts
-    derived from its values, each stored on first use: the values as a
-    read-only numpy array in _vertex_dtype(n) (see _values), and the Verdict
-    that recognition.classify found, which classes reads instead of proving
-    the outmap a USO or PUSO again.  The memo is not a field: equality,
-    hashing, repr, copies and pickles see n and values only.
+    as a tuple, which an integer numpy array gives with one tolist().  An
+    outmap is immutable, so it keeps one private memo of facts derived from
+    its values, each stored on first use: the values as a read-only numpy
+    array in _vertex_dtype(n) (see _values), and the Verdict that
+    recognition.classify found, which classes reads instead of proving the
+    outmap a USO or PUSO again.  The memo is not a field: equality, hashing,
+    repr, copies and pickles see n and values only.
     """
 
     n: int
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if type(self.values) is not tuple:
+        if isinstance(self.values, np.ndarray) and self.values.dtype.kind in "iu":
+            object.__setattr__(self, "values", tuple(self.values.tolist()))
+        elif type(self.values) is not tuple:  # index() refuses bool and float arrays
             object.__setattr__(self, "values", tuple(map(index, self.values)))
         if not 0 <= self.n <= MAX_DIM:
             raise ValueError(f"dimension must be within 0..{MAX_DIM}")
@@ -269,17 +273,9 @@ def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
     """
     if face.upper > full_mask(phi.n):
         raise ValueError("face does not fit inside the cube")
-    bits = [i - 1 for i in coords_from_mask(face.carrier)]
-    k = len(bits)
-    values = []
-    for w in range(1 << k):
-        v = face.lower
-        for j, pos in enumerate(bits):
-            if w >> j & 1:
-                v |= 1 << pos
-        value = phi.values[v]
-        values.append(sum((value >> pos & 1) << j for j, pos in enumerate(bits)))
-    return Outmap(k, tuple(values))
+    bits = list(enumerate(i - 1 for i in coords_from_mask(face.carrier)))
+    values = (phi.values[v] for v in face.vertices())
+    return Outmap(len(bits), tuple(sum((x >> pos & 1) << j for j, pos in bits) for x in values))
 
 
 def parse_uso(text: str) -> Outmap:
@@ -319,8 +315,11 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
         raise FormatError("empty input", line=1)
     head = lines[start].strip()
     try:
-        n = int(head, 10)
-    except ValueError:
+        # ASCII digits only: int() alone also takes "+2", "0_2" and non-ASCII digits
+        if not (head.isascii() and head.isdigit()):
+            raise ValueError
+        n = int(head)
+    except ValueError:  # also past int()'s digit limit
         raise FormatError(f"expected a decimal dimension, got {head!r}", line=1) from None
     if not 0 <= n <= MAX_DIM:
         raise FormatError(f"dimension {n} outside 0..{MAX_DIM}", line=1)
@@ -346,7 +345,7 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
             if digits.min() >= 48 and digits.max() <= 49:
                 # one column at a time, so no temporary holds more than one uint32 per row
                 values = sum((digits[:, i] & 1).astype(np.uint32) << i for i in range(n))
-                return Outmap(n, tuple(values.tolist())), end
+                return Outmap(n, values), end
     # some row is malformed: name the first one and its first bad character
     for v, row in enumerate(rows):
         if len(row) != n:
@@ -379,14 +378,18 @@ def _line_tables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return lo, tuple(value_line(v, n - k) for v in range(1 << (n - k)))
 
 
-def emit_uso(phi: Outmap) -> str:
-    """Serialize an outmap to .uso text (with trailing newline).
+def _uso_lines(values, n: int) -> list[str]:
+    """The .uso line of every value in a sequence of ints.
 
     Coordinate 1 comes first in a line, so value v renders as its low
     coordinates' line followed by its high coordinates' line.
     """
-    n = phi.n
     k = n // 2
     mask = (1 << k) - 1
     lo, hi = _line_tables(n)
-    return "\n".join([str(n), *[lo[v & mask] + hi[v >> k] for v in phi.values]]) + "\n"
+    return [lo[v & mask] + hi[v >> k] for v in values]
+
+
+def emit_uso(phi: Outmap) -> str:
+    """Serialize an outmap to .uso text (with trailing newline)."""
+    return "\n".join([str(phi.n), *_uso_lines(phi.values, phi.n)]) + "\n"

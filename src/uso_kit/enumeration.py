@@ -26,8 +26,8 @@ odd(n + 1).  The scalar _compose_valid_pattern is the reference the
 filter is tested against, and the filter is equivalent to running the
 generic odd test on the composed outmap, which the test suite asserts for
 n = 3 in full and for n = 5 on a sample.  Each class list (_uso_values,
-_odd_values) is one cached, read-only (k, 2**n) array in _vertex_dtype(n);
-only streams (_outmaps) and random draws turn its rows into Outmaps.
+_puso_values, _odd_values) is one cached, read-only (k, 2**n) array in
+_vertex_dtype(n); only streams and random draws turn its rows into Outmaps.
 
 Counting uses the same composition idea without materializing outmaps.
 A coloring g of the facet vertices (the connecting edges) joins two facet
@@ -65,7 +65,7 @@ import numpy as np
 
 from .classes import _first_failing_pair, dual
 from .constructions import _check_dimension, extend_border
-from .cube import FaceSpec, Outmap, _vertex_dtype, face_schedule, parse_uso
+from .cube import FaceSpec, Outmap, _uso_lines, _vertex_dtype, face_schedule, parse_uso
 from .errors import ResourceLimitError
 from .recognition import _face_failures, _puso_rows
 
@@ -149,13 +149,21 @@ def enumerate_usos(n: int) -> Iterator[Outmap]:
     yield from _outmaps(n, _uso_values(n))
 
 
-def enumerate_pusos(n: int) -> Iterator[Outmap]:
-    """All PUSOs of the n-cube by filtering orientations (n <= 3)."""
-    _check_dimension(n)
+@lru_cache(maxsize=None)
+def _puso_values(n: int) -> np.ndarray:
+    """Values of every PUSO of the n-cube (n <= 3), read-only, in orientation order."""
     if n > 3:
         raise ResourceLimitError("exhaustive PUSO enumeration is capped at n = 3")
     vals = _orientation_values(n)
-    yield from _outmaps(n, vals[_puso_rows(_face_failures(vals, n), n)])
+    vals = vals[_puso_rows(_face_failures(vals, n), n)]
+    vals.flags.writeable = False
+    return vals
+
+
+def enumerate_pusos(n: int) -> Iterator[Outmap]:
+    """All PUSOs of the n-cube by filtering orientations (n <= 3)."""
+    _check_dimension(n)
+    yield from _outmaps(n, _puso_values(n))
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +197,19 @@ def connect_facets(lower: Outmap, upper: Outmap, seed: int) -> Outmap | None:
                 return None
     # an object array keeps g a Python int: above m = 6 it has more than 64 bits
     block = _compose_block(psi0, np.array([psi1]), np.array([g], dtype=object), m)
-    return Outmap(m + 1, tuple(block[seed].tolist()))
+    return Outmap(m + 1, block[seed])
 
 
-def _tree_pattern(psi0, psi1, m: int) -> int:
+def _tree_pattern(psi0, psi1, m: int):
     """Seed-0 connecting pattern forced by the bow rule along a spanning tree.
 
     Bit v is the connecting edge at facet vertex v (1 = toward the upper
     facet).  The tree joins v to v minus its lowest coordinate; across a
     facet edge the connecting edges are antiparallel when the two facet
-    edges are parallel, and parallel otherwise.
+    edges are parallel, and parallel otherwise.  psi1 may also be a
+    (2**m, k) array of k upper facets' columns, which gives k patterns.
     """
-    g = 0
+    g = psi1[0] & 0  # an int for a tuple of ints, an array of zeros for columns
     for v in range(1, 1 << m):
         bit = v & -v
         parent = v ^ bit
@@ -343,21 +352,14 @@ def _valid_upper_mask(i0: int, nib: np.ndarray, rows: np.ndarray, m: int):
     vertices at odd distance from v that the upper value x at v includes
     (table[v, x]) avoid same[v], for every a and v.
     """
-    count = nib.shape[0]
     size = 1 << m
     lower = nib[i0].tolist()
     cols = nib.T.copy()  # a copy even where nib.T is contiguous: cols is written below
-    g = np.zeros(count, dtype=np.uint16)
-    for v in range(1, size):
-        bit = v & -v
-        parent = v ^ bit
-        pos = bit.bit_length() - 1
-        h = (((lower[parent] ^ cols[parent]) >> pos) & 1) ^ 1
-        g |= ((g >> parent & 1) ^ h) << v
+    g = _tree_pattern(lower, cols, m)
     verts = np.arange(size, dtype=np.uint16)
     # (bit a of g) - 1 wraps to all ones where the bit is 0
     same = g ^ ((g >> verts[:, None] & 1) - 1)
-    reach = np.zeros((size, count), dtype=np.uint16)
+    reach = np.zeros((size, len(nib)), dtype=np.uint16)
     upper_sinks = np.uint16(1) << rows.T
     for f, a in enumerate(rows[i0].tolist()):
         reach[a] |= upper_sinks[f]
@@ -534,8 +536,7 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
     puso = [2 * odd[n - 1] if n >= 2 else 0 for n in range(max_n + 1)]
     rows = tuple(CountRow(uso[n], puso[n], odd[n], odd[n]) for n in range(max_n + 1))
     for n, row in enumerate(rows[:4]):
-        pusos = int(_puso_rows(_face_failures(_orientation_values(n), n), n).sum())
-        direct = (len(_uso_values(n)), pusos, len(_odd_values(n)))
+        direct = (len(_uso_values(n)), len(_puso_values(n)), len(_odd_values(n)))
         if direct != (row.uso, row.puso, row.odd):
             raise AssertionError(f"count mismatch at n={n}: list sizes {direct} vs {row}")
     return CountTable(rows)
@@ -653,13 +654,10 @@ def _form_from_key(key, n: int) -> CanonicalForm:
     """Unpack one row of _canonical_keys into its .uso body."""
     bits, per_word, shifts = _key_layout(n)
     words = np.asarray(key, dtype=np.uint64)[np.arange(1 << n) // per_word]
-    # position q holds rev[value], whose .uso line is its own n-bit binary form
-    top = 1 << n
-    body = "".join(
-        format(code | top, "b")[1:] + "\n"
-        for code in (words >> shifts & np.uint64((1 << bits) - 1)).tolist()
-    )
-    return CanonicalForm(n, body.encode())
+    codes = words >> shifts & np.uint64((1 << bits) - 1)
+    # position q holds rev[value], and bit reversal undoes itself: keyed[:, 0] is rev
+    lines = _uso_lines(_symmetry_gather(n)[0][codes, 0].tolist(), n)
+    return CanonicalForm(n, ("\n".join(lines) + "\n").encode())
 
 
 def canonical_form(phi: Outmap) -> CanonicalForm:
@@ -736,7 +734,7 @@ def random_uso(n: int, rng) -> Outmap:
     """Random USO: sampled from the full list for n <= 3, composed for n = 4."""
     _check_dimension(n)
     if n <= 3:
-        return Outmap(n, tuple(rng.choice(_uso_values(n)).tolist()))
+        return Outmap(n, rng.choice(_uso_values(n)))
     if n != 4:
         raise ResourceLimitError("random USOs are supported for n <= 4")
     values_list = _uso_values(3)
@@ -747,13 +745,13 @@ def random_uso(n: int, rng) -> Outmap:
     root_bits = {root: rng.getrandbits(1) for root in sorted(set(roots))}
     pattern = sum(root_bits[root] << v for v, root in enumerate(roots))
     block = _compose_block(values_list[i0], values_list[i1 : i1 + 1], np.array([pattern]), 3)
-    return Outmap(4, tuple(block[0].tolist()))
+    return Outmap(4, block[0])
 
 
 def random_odd(n: int, rng) -> Outmap:
     """Random odd USO sampled from the full list (n <= 4)."""
     _check_dimension(n)
-    return Outmap(n, tuple(rng.choice(_odd_values(n)).tolist()))
+    return Outmap(n, rng.choice(_odd_values(n)))
 
 
 def random_puso(n: int, rng) -> Outmap:

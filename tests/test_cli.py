@@ -485,6 +485,15 @@ def test_dot_rejects_non_orientation(tmp_path, capsys):
     assert "edge" in err
 
 
+def test_dot_names_both_endpoints_of_the_inconsistent_edge(tmp_path, capsys):
+    # the coordinate-3 edge at 000 leaves both of its endpoints, 000 and 001
+    values = list(klee_minty(3).values)
+    values[0] |= 0b100
+    code, _, err = run(capsys, "dot", write_uso(tmp_path, "bad.uso", values))
+    assert code == 1
+    assert "edge between 000 and 001 is not consistently directed" in err
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 

@@ -28,7 +28,7 @@ from uso_kit import (
     value_line,
 )
 
-from uso_kit.cube import face_schedule
+from uso_kit.cube import face_schedule, read_outmap_stream
 
 from conftest import BORDER_3, BOW, EYE, KM_3
 
@@ -157,10 +157,18 @@ def test_outmap_refuses_non_integer_values():
         Outmap(1, [0.5, 1])
     with pytest.raises(TypeError):
         Outmap(2, np.array([0, 1, 3, 2.0]))
+    with pytest.raises(TypeError):
+        Outmap(1, np.array([False, True]))
 
 
 @pytest.mark.parametrize(
-    "convert", [list, lambda values: np.array(values, dtype=np.uint16)], ids=["list", "uint16"]
+    "convert",
+    [list]
+    + [
+        lambda values, dtype=dtype: np.array(values, dtype=dtype)
+        for dtype in (np.uint16, np.int8, np.int64, np.uint32, np.uint64, object)
+    ],
+    ids=["list", "uint16", "int8", "int64", "uint32", "uint64", "object"],
 )
 def test_outmap_stores_list_and_array_values_as_a_tuple_of_ints(convert):
     phi, twin = Outmap(2, convert(BOW)), Outmap(2, BOW)
@@ -258,6 +266,19 @@ def test_parse_rejects_rows_that_int_would_accept(row):
         parse_uso(text)
     first_bad = next(ch for ch in row if ch not in "01")
     assert str(err.value) == f"line 3: invalid character {first_bad!r}"
+
+
+@pytest.mark.parametrize("head", ["+2", "0_2", "\u0662", "\uff12"])
+def test_parse_rejects_dimension_lines_that_int_would_accept(head):
+    """int(head, 10) reads these as 2; the dimension line allows ASCII digits only."""
+    body = "00\n10\n11\n01\n"
+    with pytest.raises(FormatError) as err:
+        parse_uso(f"{head}\n{body}")
+    assert str(err.value) == f"line 1: expected a decimal dimension, got {head!r}"
+    with pytest.raises(FormatError) as err:
+        read_outmap_stream(f" {head} \n{body}")
+    assert str(err.value) == f"record 1: line 1: expected a decimal dimension, got {head!r}"
+    assert parse_uso(f"02\n{body}") == parse_uso(f" 2 \n{body}") == Outmap(2, (0, 1, 3, 2))
 
 
 def test_parse_names_the_first_malformed_row():
