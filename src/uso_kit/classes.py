@@ -70,8 +70,8 @@ def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dual(phi: Outmap) -> Outmap:
-    """Inverse outmap phi**-1; requires phi to be a bijection on vertices."""
-    return Outmap(phi.n, _face_inverse(phi, phi.whole_face())[1])
+    """Inverse outmap phi**-1; requires phi to be a bijection, which _face_inverse checks."""
+    return Outmap(phi.n, tuple(_face_inverse(phi, phi.whole_face())[1].tolist()), _checked=True)
 
 
 def _has_verdict(phi: Outmap, verdict: Verdict, scan, counter: PairEvalCounter | None) -> bool:

@@ -11,12 +11,14 @@ argument accepts "-" for stdin and results go to stdout.  Exit codes:
 * 2  usage errors: unknown flags, malformed option values
 * 3  unreadable, malformed or non-UTF-8 input files, or a request beyond
      the supported resource limits or the memory available
+* 141  the reader closed stdout early (`| head`), as SIGPIPE would end a writer
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -387,6 +389,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`), which is no input error: exit quietly, as a
+        # writer SIGPIPE killed would (128 + 13), with stdout on devnull for the last flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FormatError, ResourceLimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

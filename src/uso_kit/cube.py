@@ -25,7 +25,7 @@ enumeration's symmetry gather, which relabels outmaps to canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, reduce
 from operator import index, or_
 from typing import Iterator
@@ -182,19 +182,27 @@ class Outmap:
     """Dense outmap of the standard n-cube: values[v] = outgoing set of vertex v.
 
     values may be any iterable of ints (a list, a numpy array); it is stored
-    as a tuple, which an integer numpy array gives with one tolist().  An
-    outmap is immutable, so it keeps one private memo of facts derived from
+    as a tuple, which an integer numpy array gives with one tolist().  Values
+    are checked once, where they enter: code that built the tuple of 2**n
+    n-bit Python ints itself may pass the keyword _checked=True to skip the
+    checks.  Only the .uso parser (rows decoded from 0/1 digits), enumeration's
+    class lists and classes.dual (an inverse proven bijective) do.
+
+    An outmap is immutable, so it keeps one private memo of facts derived from
     its values, each stored on first use: the values as a read-only numpy
     array in _vertex_dtype(n) (see _values), and the Verdict that
     recognition.classify found, which classes reads instead of proving the
-    outmap a USO or PUSO again.  The memo is not a field: equality, hashing,
-    repr, copies and pickles see n and values only.
+    outmap a USO or PUSO again.  The memo and _checked are not fields: equality,
+    hashing, repr, copies and pickles see n and values only.
     """
 
     n: int
     values: tuple[int, ...]
+    _checked: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, _checked):
+        if _checked:
+            return
         if isinstance(self.values, np.ndarray) and self.values.dtype.kind in "iu":
             object.__setattr__(self, "values", tuple(self.values.tolist()))
         elif type(self.values) is not tuple:  # index() refuses bool and float arrays
@@ -333,7 +341,7 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
         )
     if n <= 10:
         try:
-            return Outmap(n, tuple(map(_line_values(n).__getitem__, rows))), end
+            return Outmap(n, tuple(map(_line_values(n).__getitem__, rows)), _checked=True), end
         except KeyError:
             pass  # a malformed row: the checks below name it
     else:
@@ -343,9 +351,13 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
         if codes.size == expected * (n + 1):
             digits = codes.reshape(expected, n + 1)[:, :n]  # a view: no copy of the record
             if digits.min() >= 48 and digits.max() <= 49:
-                # one column at a time, so no temporary holds more than one uint32 per row
-                values = sum((digits[:, i] & 1).astype(np.uint32) << i for i in range(n))
-                return Outmap(n, values), end
+                # one column at a time into _vertex_dtype(n): no temporary holds more than a
+                # value per row, and the array becomes the memo's (see _values)
+                values = sum((digits[:, i] & 1).astype(_vertex_dtype(n)) << i for i in range(n))
+                values.flags.writeable = False
+                phi = Outmap(n, tuple(values.tolist()), _checked=True)
+                _memo(phi)["array"] = values
+                return phi, end
     # some row is malformed: name the first one and its first bad character
     for v, row in enumerate(rows):
         if len(row) != n:
@@ -371,22 +383,24 @@ def _line_values(n: int) -> dict[str, int]:
 
 
 @lru_cache(maxsize=None)
-def _line_tables(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """.uso lines of the low k = n // 2 and the high n - k coordinates (<= 2**10 each)."""
-    k = n // 2
-    lo = tuple(value_line(v, k) for v in range(1 << k))
-    return lo, tuple(value_line(v, n - k) for v in range(1 << (n - k)))
+def _line_table(n: int) -> tuple[str, ...]:
+    """.uso line of every value, in value order: the keys of _line_values (n <= 10)."""
+    return tuple(_line_values(n))
 
 
 def _uso_lines(values, n: int) -> list[str]:
     """The .uso line of every value in a sequence of ints.
 
-    Coordinate 1 comes first in a line, so value v renders as its low
-    coordinates' line followed by its high coordinates' line.
+    Up to n = 10 a value indexes one line table.  Above, where that table
+    would hold up to 2**20 lines, coordinate 1 comes first in a line, so value
+    v renders as the line of its low k = n // 2 coordinates followed by the
+    line of its high n - k coordinates, each from the table of its dimension.
     """
+    if n <= 10:
+        return list(map(_line_table(n).__getitem__, values))
     k = n // 2
     mask = (1 << k) - 1
-    lo, hi = _line_tables(n)
+    lo, hi = _line_table(k), _line_table(n - k)
     return [lo[v & mask] + hi[v >> k] for v in values]
 
 

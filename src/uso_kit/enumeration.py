@@ -75,11 +75,11 @@ from .recognition import _face_failures, _puso_rows
 
 
 def _outmaps(n: int, values: np.ndarray) -> Iterator[Outmap]:
-    """An Outmap per row of a (k, 2**n) value array, 256 rows per tolist(): a whole
-    facet block's Python lists (about 1.3 MB at n = 5) raised peak memory."""
+    """An unchecked Outmap (see Outmap) per row of a (k, 2**n) valid value array, 256 rows
+    per tolist(): a whole facet block's Python lists (about 1.3 MB at n = 5) raised peak memory."""
     for lo in range(0, len(values), 256):
         for row in values[lo : lo + 256].tolist():
-            yield Outmap(n, tuple(row))
+            yield Outmap(n, tuple(row), _checked=True)
 
 
 def _function_values(n: int) -> np.ndarray:
@@ -206,10 +206,13 @@ def _tree_pattern(psi0, psi1, m: int):
     Bit v is the connecting edge at facet vertex v (1 = toward the upper
     facet).  The tree joins v to v minus its lowest coordinate; across a
     facet edge the connecting edges are antiparallel when the two facet
-    edges are parallel, and parallel otherwise.  psi1 may also be a
-    (2**m, k) array of k upper facets' columns, which gives k patterns.
+    edges are parallel, and parallel otherwise.  One facet pair, as tuples
+    or numpy rows, gives a Python int; psi1 may also be a (2**m, k) array
+    of k upper facets' columns, which gives k uint16 patterns.
     """
-    g = psi1[0] & 0  # an int for a tuple of ints, an array of zeros for columns
+    if np.ndim(psi1) == 1:  # a numpy row's uint16 scalars would drop pattern bits >= 16
+        psi0, psi1 = np.asarray(psi0).tolist(), np.asarray(psi1).tolist()
+    g = psi1[0] & 0  # an int for one facet, an array of zeros for columns
     for v in range(1, 1 << m):
         bit = v & -v
         parent = v ^ bit

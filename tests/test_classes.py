@@ -455,6 +455,15 @@ def test_memo_leaves_equality_hash_repr_and_pickles_alone():
     assert pickle.dumps(phi) == pickle.dumps(twin) == blank
     for clone in (pickle.loads(blank), copy.copy(phi), copy.deepcopy(phi)):
         assert clone == phi and "_memo" not in vars(clone)
+    # above n = 10 the parser hands over its array as the memo's, unchecked
+    parsed = cube.parse_uso(cube.emit_uso(klee_minty(11)))
+    twin = Outmap(11, tuple(klee_minty(11).values))
+    assert "array" in vars(parsed)["_memo"]
+    assert parsed == twin and hash(parsed) == hash(twin) and repr(parsed) == repr(twin)
+    assert pickle.dumps(parsed) == pickle.dumps(twin)
+    for clone in (pickle.loads(pickle.dumps(parsed)), copy.copy(parsed), copy.deepcopy(parsed)):
+        assert clone == twin and "_memo" not in vars(clone)
+        assert pickle.dumps(clone) == pickle.dumps(twin) and repr(clone) == repr(twin)
 
 
 # ---------------------------------------------------------------------------

@@ -588,14 +588,42 @@ def test_read_outmap_stream_rejects_huge_dimension_before_allocating():
     assert peak < 1 << 20
 
 
-def _module_run(*argv, **kwargs):
-    """Run the command line in a fresh interpreter on the package imported here."""
+def _module_env():
+    """The environment of a fresh interpreter that imports the package imported here."""
     src = str(Path(uso_kit.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _module_run(*argv, **kwargs):
+    """Run the command line in a fresh interpreter on the package imported here."""
     return subprocess.run(
-        [sys.executable, "-m", "uso_kit", *argv], capture_output=True, text=True, env=env, **kwargs
+        [sys.executable, "-m", "uso_kit", *argv],
+        capture_output=True,
+        text=True,
+        env=_module_env(),
+        **kwargs,
     )
+
+
+def test_reader_closing_the_pipe_early_exits_141_quietly():
+    """`uso-kit enumerate ... | head`: a closed stdout is no input error (exit 3) but
+    ends the writer as SIGPIPE would (128 + 13), with nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uso_kit", "enumerate", "--class", "odd", "--n", "4"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_module_env(),
+    )
+    # one record of 17 lines; the other 12927 (about 1 MB) overflow the pipe's buffer
+    record = [proc.stdout.readline() for _ in range(17)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == ""
+    assert record[0] == "4\n" and all(len(line) == 5 for line in record[1:])
 
 
 def test_console_script_round_trip():

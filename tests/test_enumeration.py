@@ -1,5 +1,6 @@
 """Exhaustive streams, facet composition, count tables, canonical orbits."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -158,6 +159,61 @@ def test_stream_order_is_stable():
     assert first == second
 
 
+def test_enumerate_odd_5_stream_prefix_is_pinned():
+    """The first 20000 odd 5-USOs, byte for byte (sha256 of their .uso texts)."""
+    digest = hashlib.sha256()
+    for phi in itertools.islice(enumerate_class("odd", 5, allow_large=True), 20000):
+        digest.update(cube.emit_uso(phi).encode())
+    assert digest.hexdigest() == (
+        "ac0c5a007f5541c467b649328fd31908ca1e1efc13963c32c33e783aa34d72a0"
+    )
+
+
+def _assert_as_if_checked(phi):
+    """phi equals its twin built through Outmap's checks and holds a tuple of Python
+    ints; a memo array is read-only, in _vertex_dtype(n) and equal to the values."""
+    assert type(phi.values) is tuple and all(type(v) is int for v in phi.values)
+    assert phi == Outmap(phi.n, tuple(phi.values))
+    array = vars(phi).get("_memo", {}).get("array")
+    if array is not None:
+        assert not array.flags.writeable and array.dtype == cube._vertex_dtype(phi.n)
+        assert array.tolist() == list(phi.values)
+
+
+def test_unchecked_producers_match_the_checked_constructor():
+    """Every producer that skips Outmap's checks (see cube.Outmap) builds values they pass."""
+    with pytest.raises(TypeError):  # the skip flag is keyword-only
+        Outmap(1, (0, 1), True)
+    rng = random.Random(2020)
+    texts = []
+    for n in range(13):
+        top = (1 << n) - 1
+        values = [top if rng.random() < 0.25 else rng.getrandbits(n) for _ in range(1 << n)]
+        for vals in (values, [top] * (1 << n)):
+            texts.append("\n".join([str(n), *(value_line(v, n) for v in vals)]) + "\n")
+            phi = parse_uso(texts[-1])
+            _assert_as_if_checked(phi)
+            assert phi.values == tuple(vals)
+            # above the n = 10 line table the parser hands over the array it decoded
+            assert ("array" in vars(phi).get("_memo", {})) == (n > 10)
+    stream = cube.read_outmap_stream("\n".join(texts))
+    assert [phi.n for phi in stream] == [n for n in range(13) for _ in range(2)]
+    for phi in stream:
+        _assert_as_if_checked(phi)
+    for kind, stop in (("uso", 4), ("puso", 4), ("odd", 5), ("border", 5)):
+        for n in range(stop):
+            for phi in enumerate_class(kind, n):
+                assert phi.n == n
+                _assert_as_if_checked(phi)
+    for phi in itertools.islice(enumerate_class("odd", 5, allow_large=True), 2000):
+        _assert_as_if_checked(phi)
+    usos = [flip(klee_minty(n), rng.getrandbits(n)) for n in range(13)]
+    for phi in usos + [random_uso(n, rng) for n in range(5)]:
+        inverse = dual(phi)
+        _assert_as_if_checked(inverse)
+        assert all(phi.values[w] == v for v, w in enumerate(inverse.values))
+
+
 # ---------------------------------------------------------------------------
 # facet composition
 
@@ -246,6 +302,24 @@ def test_connect_facets_matches_scalar_composer_beyond_64_bit_patterns():
     for seed, pattern in ((0, g), (1, g ^ (1 << 128) - 1)):
         expected = _compose_build(km.values, km.values, 7, pattern)
         assert connect_facets(km, km, seed).values == tuple(expected)
+
+
+@pytest.mark.parametrize("m", [5, 7])
+def test_tree_pattern_on_numpy_rows_matches_tuples(m):
+    """One facet pair as uint16 rows keeps the pattern bits at 16 and above."""
+    km = klee_minty(m)
+    rows = np.array([km.values, flip(km, 1).values], dtype=np.uint16)
+    sinks = enumeration._sink_rows(rows, m).tolist()
+    pairs = enumeration._odd_distance_pairs(m)
+    for i0, i1 in itertools.product(range(2), repeat=2):
+        tuples = tuple(rows[i0].tolist()), tuple(rows[i1].tolist())
+        g = enumeration._tree_pattern(*tuples, m)
+        assert g >> 16 and enumeration._tree_pattern(rows[i0], rows[i1], m) == g
+        args = (m, sinks[i0], sinks[i1], pairs)
+        expected = enumeration._compose_valid_pattern(*tuples, *args)
+        assert enumeration._compose_valid_pattern(rows[i0], rows[i1], *args) == expected
+        if i0 == i1:  # a facet composes with itself
+            assert expected == g
 
 
 def test_connect_facets_rejects_conflicting_bows():
