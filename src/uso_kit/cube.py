@@ -43,11 +43,6 @@ def full_mask(n: int) -> int:
     return (1 << n) - 1
 
 
-def symdiff(a: int, b: int) -> int:
-    """Symmetric difference of two coordinate sets."""
-    return a ^ b
-
-
 def mask_from_coords(coords) -> int:
     """Mask for an iterable of coordinate numbers (each >= 1)."""
     mask = 0
@@ -112,13 +107,6 @@ class FaceSpec:
         lower = self.lower
         for s in _subsets(self.carrier):
             yield lower | s
-
-
-def antipode(v: int, face: FaceSpec) -> int:
-    """Vertex opposite v within a face."""
-    if not face.contains(v):
-        raise ValueError(f"vertex {v:#b} lies outside face [{face.lower:#b}, {face.upper:#b}]")
-    return v ^ face.carrier
 
 
 def faces_iter(n: int, min_dim: int = 0) -> Iterator[FaceSpec]:

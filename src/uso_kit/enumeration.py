@@ -2,9 +2,7 @@
 
 Enumeration strategy by dimension:
 
-* n <= 2 USOs: brute force over all (2**n)**(2**n) outmap functions,
-  filtered by one call of the batch face kernel.
-* n == 3 USOs and n <= 3 PUSOs: the same kernel call over all
+* n <= 3 USOs and PUSOs: one call of the batch face kernel over all
   2**(n * 2**(n-1)) orientations, one per edge-direction word.
 * n >= 3 odd USOs: compose every ordered pair of (n-1)-dimensional odd USOs
   into opposite facets.  The connecting-edge pattern is forced up to a
@@ -82,20 +80,6 @@ def _outmaps(n: int, values: np.ndarray) -> Iterator[Outmap]:
             yield Outmap(n, tuple(row), _checked=True)
 
 
-def _function_values(n: int) -> np.ndarray:
-    """Every function from vertices to coordinate sets, one per row, lexicographic order."""
-    size = 1 << n
-    return np.array(list(itertools.product(range(size), repeat=size)), dtype=_vertex_dtype(n))
-
-
-def enumerate_outmap_functions(n: int) -> Iterator[Outmap]:
-    """Every function from vertices to coordinate sets, lexicographic order (n <= 2)."""
-    _check_dimension(n)
-    if n > 2:
-        raise ResourceLimitError("the full function space is only enumerable for n <= 2")
-    yield from _outmaps(n, _function_values(n))
-
-
 def _edge_list(n: int) -> list[tuple[int, int]]:
     """Edges as (lower vertex, coordinate position), vertex-major order."""
     return [(v, pos) for v in range(1 << n) for pos in range(n) if not v >> pos & 1]
@@ -114,25 +98,20 @@ def _orientation_values(n: int) -> np.ndarray:
     return values
 
 
-def enumerate_orientations(n: int) -> Iterator[Outmap]:
-    """Every consistent orientation of the n-cube, one per edge-direction word (n <= 3)."""
-    _check_dimension(n)
-    if n > 3:
-        raise ResourceLimitError("orientation space is only enumerable for n <= 3")
-    yield from _outmaps(n, _orientation_values(n))
-
-
 @lru_cache(maxsize=None)
 def _uso_values(n: int) -> np.ndarray:
     """Values of every USO of the n-cube (n <= 3), read-only, in enumerate_usos order."""
     if n > 3:
         raise ResourceLimitError("exhaustive USO enumeration is capped at n = 3")
-    vals = _function_values(n) if n <= 2 else _orientation_values(n)
+    vals = _orientation_values(n)
     vals = vals[~_face_failures(vals, n).any(axis=1)]
-    if n == 3:
-        # column idx reads 1 where the upper endpoint owns edge idx; lexsort's
-        # last key is its primary one
-        vals = vals[np.lexsort([vals[:, v] >> pos & 1 ^ 1 for v, pos in _edge_list(n)[::-1]])]
+    # lexsort's last key is its primary one: vertex 0's value for n <= 2, and for
+    # n = 3 edge 0's column, which reads 1 where the upper endpoint owns the edge
+    if n <= 2:
+        keys = vals.T[::-1]
+    else:
+        keys = [vals[:, v] >> pos & 1 ^ 1 for v, pos in _edge_list(n)[::-1]]
+    vals = vals[np.lexsort(keys)]
     vals.flags.writeable = False
     return vals
 
@@ -140,10 +119,9 @@ def _uso_values(n: int) -> np.ndarray:
 def enumerate_usos(n: int) -> Iterator[Outmap]:
     """All USOs of the n-cube (n <= 3), filtered by one call of the face kernel.
 
-    n <= 2 filters every outmap function and keeps lexicographic value
-    order.  n = 3 filters every orientation and orders the 744 USOs by
-    their edges in _edge_list order, edge 0 first, an edge pointing up
-    before one pointing down.
+    The kernel filters every orientation.  n <= 2 keeps lexicographic value
+    order; n = 3 orders the 744 USOs by their edges in _edge_list order,
+    edge 0 first, an edge pointing up before one pointing down.
     """
     _check_dimension(n)
     yield from _outmaps(n, _uso_values(n))
@@ -168,36 +146,6 @@ def enumerate_pusos(n: int) -> Iterator[Outmap]:
 
 # ---------------------------------------------------------------------------
 # facet composition
-
-
-def connect_facets(lower: Outmap, upper: Outmap, seed: int) -> Outmap | None:
-    """Glue two (n-1)-dimensional odd USOs into opposite facets of an n-cube.
-
-    seed fixes the connecting edge at facet vertex 0 (1 = points toward the
-    upper facet); the remaining connecting edges are forced by requiring
-    every 2-face spanning the new coordinate to be a bow.  The pattern is
-    forced along a spanning tree, then every (vertex, coordinate) bow
-    constraint is checked from both endpoints.  Returns the composed
-    outmap, or None when some constraint disagrees with the forced
-    pattern.  The result is a candidate only; callers still filter (each
-    ordered pair yields at most two odd USOs).
-    """
-    if lower.n != upper.n:
-        raise ValueError("facets must have equal dimension")
-    if seed not in (0, 1):
-        raise ValueError("seed must be 0 or 1")
-    m = lower.n
-    psi0 = lower.values
-    psi1 = upper.values
-    g = _tree_pattern(psi0, psi1, m)
-    for v in range(1 << m):
-        h = psi0[v] ^ psi1[v]
-        for pos in range(m):
-            if not ((g >> v) ^ (g >> (v ^ 1 << pos)) ^ (h >> pos)) & 1:
-                return None
-    # an object array keeps g a Python int: above m = 6 it has more than 64 bits
-    block = _compose_block(psi0, np.array([psi1]), np.array([g], dtype=object), m)
-    return Outmap(m + 1, block[seed])
 
 
 def _tree_pattern(psi0, psi1, m: int):
@@ -671,11 +619,6 @@ def canonical_form(phi: Outmap) -> CanonicalForm:
     return _form_from_key(key, phi.n)
 
 
-def count_orbits(outmaps: Iterable[Outmap]) -> int:
-    """Number of symmetry classes among outmaps of one dimension <= 5."""
-    return len(orbit_representatives(outmaps))
-
-
 def orbit_representatives(outmaps: Iterable[Outmap]) -> list[CanonicalForm]:
     """Sorted canonical representative of every orbit present in the input.
 
@@ -723,14 +666,6 @@ def enumerate_class(kind: str, n: int, allow_large: bool = False) -> Iterator[Ou
             yield dual(phi)
     else:
         raise ValueError(f"unknown class {kind!r}")
-
-
-def random_outmap(n: int, rng) -> Outmap:
-    """Uniformly random outmap function (not usually an orientation)."""
-    _check_dimension(n)
-    if n == 0:
-        return Outmap(0, (0,))
-    return Outmap(n, tuple(rng.getrandbits(n) for _ in range(1 << n)))
 
 
 def random_uso(n: int, rng) -> Outmap:

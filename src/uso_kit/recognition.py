@@ -30,7 +30,7 @@ from math import comb
 
 import numpy as np
 
-from .cube import FaceSpec, Outmap, _memo, _values, face_schedule, full_mask
+from .cube import FaceSpec, Outmap, _memo, _values, face_schedule
 
 
 class Verdict(enum.Enum):
@@ -63,13 +63,6 @@ class ClassificationReport:
     witness: tuple[int, int] | None = None
     puso_face: FaceSpec | None = None
     pair_evals_used: int = 0
-
-
-def pair_eval(phi: Outmap, u: int, v: int, counter: PairEvalCounter | None = None) -> int:
-    """Evaluate one vertex pair; a nonzero mask means the pair succeeds."""
-    if counter is not None:
-        counter.count += 1
-    return (phi.values[u] ^ phi.values[v]) & (u ^ v)
 
 
 def _face_failures(vals: np.ndarray, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -200,16 +193,6 @@ def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     if counter is not None:
         counter.count += fails.size
     return bool(_puso_rows(fails, phi.n))
-
-
-def antipodal_failures(phi: Outmap, counter: PairEvalCounter | None = None) -> int:
-    """Count whole-cube antipodal pairs that fail; a PUSO fails all 2**(n-1)."""
-    vals = _values(phi)
-    half = 1 << (phi.n - 1) if phi.n else 1
-    if counter is not None:
-        counter.count += half
-    # the antipode v ^ full of v is full - v, so reversing pairs them up
-    return int(np.count_nonzero((vals[:half] ^ vals[::-1][:half]) & full_mask(phi.n) == 0))
 
 
 def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:

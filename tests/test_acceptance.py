@@ -7,8 +7,9 @@ the exact counts that only runs when USO_KIT_OPT_IN lists its targets, e.g.
     USO_KIT_OPT_IN=uso4,odd5 pytest tests/test_acceptance.py -v -s
 
 Its odd5 part sums the filter over all 12928 lower facets in one process
-and takes about 20 seconds.  Everything else finishes in well under a
-minute.
+and takes about 20 seconds.  A part other than uso4 and odd5 (a typo such
+as odd_5) stops the module at collection rather than skipping the oracle.
+Everything else finishes in well under a minute.
 """
 
 import functools
@@ -31,8 +32,6 @@ from uso_kit import (
     cyclic_puso,
     dual,
     enumerate_odd,
-    enumerate_orientations,
-    enumerate_outmap_functions,
     enumerate_pusos,
     enumerate_usos,
     extend_border,
@@ -45,12 +44,14 @@ from uso_kit import (
     is_uso_fast,
     is_uso_naive,
     klee_minty,
+    orbit_representatives,
     odd_family,
     puso_parity,
     PairEvalCounter,
 )
 from uso_kit import enumeration
 
+from conftest import orientations, outmap_functions
 from test_constructions import random_cycle
 
 
@@ -95,29 +96,27 @@ def test_criterion_2_cross_formulas():
 
 @criterion(3, "orbit counts 4 / 2 (sizes 4+8) / 19 / 2 under cube symmetry")
 def test_criterion_3_orbit_counts():
-    from uso_kit import count_orbits
-
-    assert count_orbits(enumerate_orientations(2)) == 4
+    assert len(orbit_representatives(orientations(2))) == 4
     sizes: dict[bytes, int] = {}
     for phi in enumerate_usos(2):
         body = canonical_form(phi).body
         sizes[body] = sizes.get(body, 0) + 1
     assert len(sizes) == 2
     assert sorted(sizes.values()) == [4, 8]
-    assert count_orbits(enumerate_usos(3)) == 19
-    assert count_orbits(enumerate_pusos(3)) == 2
+    assert len(orbit_representatives(enumerate_usos(3))) == 19
+    assert len(orbit_representatives(enumerate_pusos(3))) == 2
 
 
 @criterion(4, "fast and naive recognizers agree; fast uses exactly 3^n - 2^n evals")
 def test_criterion_4_recognizer_equivalence():
     # the full 2-dimensional function space
-    for phi in enumerate_outmap_functions(2):
+    for phi in outmap_functions(2):
         counter = PairEvalCounter()
         fast = is_uso_fast(phi, counter)
         assert counter.count == 3**2 - 2**2
         assert fast == (is_uso_naive(phi).verdict is Verdict.USO)
     # every single 3-cube edge orientation
-    for phi in enumerate_orientations(3):
+    for phi in orientations(3):
         assert is_uso_fast(phi) == (is_uso_naive(phi).verdict is Verdict.USO)
     # 100000 seeded-random outmap functions of dimensions 3 and 4
     rng = random.Random(0xACCE55)
@@ -213,7 +212,23 @@ def test_criterion_8_exact_counts():
 
 
 def _opted_in() -> set[str]:
-    return {part for part in os.environ.get("USO_KIT_OPT_IN", "").split(",") if part}
+    """The USO_KIT_OPT_IN parts; an unknown one (a typo such as odd_5) raises."""
+    parts = {part for part in os.environ.get("USO_KIT_OPT_IN", "").split(",") if part}
+    unknown = sorted(parts - {"uso4", "odd5"})
+    if unknown:
+        raise ValueError(f"unknown USO_KIT_OPT_IN parts: {unknown}; known: odd5, uso4")
+    return parts
+
+
+def test_unknown_opt_in_parts_fail_loudly(monkeypatch):
+    monkeypatch.setenv("USO_KIT_OPT_IN", "odd_5")
+    with pytest.raises(ValueError, match=r"\['odd_5'\]"):
+        _opted_in()
+    monkeypatch.setenv("USO_KIT_OPT_IN", "uso5,uso4,odd-5")
+    with pytest.raises(ValueError, match=r"\['odd-5', 'uso5'\]"):
+        _opted_in()
+    monkeypatch.setenv("USO_KIT_OPT_IN", "uso4,odd5,")  # a trailing empty part is allowed
+    assert _opted_in() == {"uso4", "odd5"}
 
 
 @pytest.mark.skipif(

@@ -36,12 +36,20 @@ from uso_kit import (
     klee_minty,
     odd_family,
     puso_parity,
-    random_outmap,
     random_uso,
 )
 from uso_kit import classes, cube, enumeration, recognition
 
-from conftest import BORDER_3, BOW, CYCLE, EMBEDDED_TWIN_PEAK, EYE, KM_3, TWIN_PEAK
+from conftest import (
+    BORDER_3,
+    BOW,
+    CYCLE,
+    EMBEDDED_TWIN_PEAK,
+    EYE,
+    KM_3,
+    TWIN_PEAK,
+    random_outmap,
+)
 
 
 def test_dual_fixed_pair(border_3, km_3):

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -645,3 +646,14 @@ def test_console_script_target_is_callable():
     target = re.search(r'^uso-kit = "([\w.]+):(\w+)"$', pyproject.read_text(), re.M)
     assert target is not None
     assert callable(getattr(importlib.import_module(target[1]), target[2]))
+
+
+def test_all_lists_exactly_the_public_names():
+    """__all__ and the package's public non-module bindings stay one list."""
+    bound = {
+        name
+        for name, obj in vars(uso_kit).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert set(uso_kit.__all__) == bound
+    assert len(uso_kit.__all__) == len(bound)

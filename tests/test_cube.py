@@ -11,7 +11,6 @@ from uso_kit import (
     FaceSpec,
     FormatError,
     Outmap,
-    antipode,
     coords_from_mask,
     cyclic_puso,
     emit_uso,
@@ -23,14 +22,12 @@ from uso_kit import (
     klee_minty,
     mask_from_coords,
     parse_uso,
-    random_outmap,
-    symdiff,
     value_line,
 )
 
 from uso_kit.cube import face_schedule, read_outmap_stream
 
-from conftest import BORDER_3, BOW, EYE, KM_3
+from conftest import BORDER_3, BOW, EYE, KM_3, random_outmap
 
 
 def outmaps(max_n: int = 3):
@@ -54,10 +51,6 @@ def test_mask_round_trip():
         mask_from_coords((0,))
 
 
-def test_symdiff_is_xor():
-    assert symdiff(0b110, 0b011) == 0b101
-
-
 @given(st.integers(0, 5).flatmap(lambda n: st.sets(st.integers(1, max(n, 1)))))
 @settings(max_examples=100)
 def test_coords_mask_inverse(coords):
@@ -73,14 +66,6 @@ def test_face_spec_basics():
     assert tuple(face.vertices()) == (0b001, 0b011, 0b101, 0b111)
     with pytest.raises(ValueError):
         FaceSpec(0b010, 0b001)
-
-
-def test_antipode_within_face():
-    face = FaceSpec(0b001, 0b111)
-    assert antipode(0b001, face) == 0b111
-    assert antipode(0b011, face) == 0b101
-    with pytest.raises(ValueError):
-        antipode(0b000, face)
 
 
 @pytest.mark.parametrize("n", range(0, 6))

@@ -18,16 +18,12 @@ from uso_kit import (
     Verdict,
     canonical_form,
     classify,
-    connect_facets,
     count_odd_successor,
-    count_orbits,
     count_table,
     count_uso_successor,
     dual,
     enumerate_class,
     enumerate_odd,
-    enumerate_orientations,
-    enumerate_outmap_functions,
     enumerate_pusos,
     enumerate_usos,
     extend_border,
@@ -40,7 +36,6 @@ from uso_kit import (
     orbit_representatives,
     parse_uso,
     random_odd,
-    random_outmap,
     random_puso,
     random_uso,
     value_line,
@@ -48,31 +43,21 @@ from uso_kit import (
 
 from uso_kit import classes, constructions, cube, enumeration, recognition
 
-from conftest import BOW, EYE, KM_3
+from conftest import BOW, KM_3, orientations, outmap_functions
 
 
 # ---------------------------------------------------------------------------
 # streams
 
 
-def test_function_space_sizes():
-    assert sum(1 for _ in enumerate_outmap_functions(0)) == 1
-    assert sum(1 for _ in enumerate_outmap_functions(1)) == 4
-    assert sum(1 for _ in enumerate_outmap_functions(2)) == 256
-    with pytest.raises(ResourceLimitError):
-        next(enumerate_outmap_functions(3))
-
-
 def test_orientation_space_sizes():
     for n in range(4):
         edges = n * 2 ** (n - 1) if n else 0
-        assert sum(1 for _ in enumerate_orientations(n)) == 2**edges
-    with pytest.raises(ResourceLimitError):
-        next(enumerate_orientations(4))
+        assert len(orientations(n)) == 2**edges
 
 
 def test_orientations_are_orientations():
-    for phi in enumerate_orientations(2):
+    for phi in orientations(2):
         assert classify(phi).verdict is not Verdict.NOT_ORIENTATION
 
 
@@ -99,24 +84,18 @@ def test_puso_stream_counts_and_validity():
 def test_batch_filters_match_the_per_outmap_filter():
     """The one-call USO and PUSO filters keep the naive verdict's outmaps, in order."""
     for n in range(3):
-        want = [
-            phi for phi in enumerate_outmap_functions(n)
-            if is_uso_naive(phi).verdict is Verdict.USO
-        ]
+        want = [phi for phi in outmap_functions(n) if is_uso_naive(phi).verdict is Verdict.USO]
         assert list(enumerate_usos(n)) == want
     # n = 3 orders by the edge word: per edge, vertex-major, 1 where it points down
     edges = [(v, pos) for v in range(8) for pos in range(3) if not v >> pos & 1]
     want = sorted(
-        (phi for phi in enumerate_orientations(3) if is_uso_naive(phi).verdict is Verdict.USO),
+        (phi for phi in orientations(3) if is_uso_naive(phi).verdict is Verdict.USO),
         key=lambda phi: [1 - (phi.values[v] >> pos & 1) for v, pos in edges],
     )
     assert len(want) == 744
     assert list(enumerate_usos(3)) == want
     for n in range(4):
-        want = [
-            phi for phi in enumerate_orientations(n)
-            if is_uso_naive(phi).verdict is Verdict.PUSO
-        ]
+        want = [phi for phi in orientations(n) if is_uso_naive(phi).verdict is Verdict.PUSO]
         assert list(enumerate_pusos(n)) == want
 
 
@@ -226,19 +205,21 @@ def _compose_build(psi0, psi1, m: int, pattern: int) -> list[int]:
     return values
 
 
+def _connected(lower, upper, m: int) -> list[tuple[int, ...]]:
+    """One facet pair composed by its bow-rule tree pattern, then flipped (the block builder)."""
+    g = enumeration._tree_pattern(lower, upper, m)
+    return list(map(tuple, enumeration._compose_block(lower, [upper], np.array([g]), m).tolist()))
+
+
 def test_connect_facets_fixed_case():
-    bow = Outmap(2, BOW)
-    composed = connect_facets(bow, bow, 0)
-    assert composed is not None
+    composed = Outmap(3, _connected(BOW, BOW, 2)[0])
     assert composed.values == (0, 5, 7, 2, 4, 1, 3, 6)
     assert is_odd(composed)[0]
     assert canonical_form(composed) == canonical_form(klee_minty(3))
 
 
 def test_connect_facets_seed_flip():
-    bow = Outmap(2, BOW)
-    a = connect_facets(bow, bow, 0)
-    b = connect_facets(bow, bow, 1)
+    a, b = _connected(BOW, BOW, 2)
     # same facet values, all connecting edges reversed
     top = 0b100
     for v in range(8):
@@ -246,25 +227,25 @@ def test_connect_facets_seed_flip():
         assert (a[v] & top) != (b[v] & top)
 
 
-def test_connect_facets_validates_arguments(bow, km_3):
-    with pytest.raises(ValueError):
-        connect_facets(bow, km_3, 0)
-    with pytest.raises(ValueError):
-        connect_facets(bow, bow, 2)
-
-
 def test_composition_filter_matches_generic_odd_test():
-    """Every candidate gluing of two odd 2-cubes, filtered two equivalent ways."""
-    facets = list(enumerate_odd(2))
-    composed_valid = set()
-    for lower in facets:
-        for upper in facets:
-            for seed in (0, 1):
-                candidate = connect_facets(lower, upper, seed)
-                assert candidate is not None   # odd facets always propagate
-                if classify(candidate).verdict is Verdict.USO and is_odd(candidate)[0]:
-                    composed_valid.add(candidate.values)
-    assert composed_valid == {phi.values for phi in enumerate_odd(3)}
+    """The bow rule by brute force: every ordered pair of odd 2-USOs under all 16
+    connecting patterns, kept where classify and is_odd accept the composition."""
+    facets = [phi.values for phi in enumerate_odd(2)]
+    kept = set()
+    kept_per_pair = Counter()
+    for lower, upper in itertools.product(facets, repeat=2):
+        patterns = []
+        for pattern in range(16):
+            phi = Outmap(3, tuple(_compose_build(lower, upper, 2, pattern)))
+            if classify(phi).verdict is Verdict.USO and is_odd(phi)[0]:
+                patterns.append(pattern)
+                kept.add(phi.values)
+        kept_per_pair[len(patterns)] += 1
+        if patterns:  # the seed-0 tree pattern and its flip, nothing else
+            g = enumeration._tree_pattern(lower, upper, 2)
+            assert sorted(patterns) == sorted([g, g ^ 15]), (lower, upper)
+    assert kept == {phi.values for phi in enumerate_odd(3)} and len(kept) == 112
+    assert kept_per_pair == {2: 56, 0: 8}
 
 
 def test_composition_filter_matches_generic_odd_test_m4():
@@ -294,16 +275,6 @@ def test_composition_filter_matches_generic_odd_test_m4():
             assert odd_usos == (2 if valid[i1] else 0), (i0, i1)
 
 
-def test_connect_facets_matches_scalar_composer_beyond_64_bit_patterns():
-    """At m = 7 the connecting pattern has 128 bits."""
-    km = klee_minty(7)
-    g = enumeration._tree_pattern(km.values, km.values, 7)
-    assert g >> 64
-    for seed, pattern in ((0, g), (1, g ^ (1 << 128) - 1)):
-        expected = _compose_build(km.values, km.values, 7, pattern)
-        assert connect_facets(km, km, seed).values == tuple(expected)
-
-
 @pytest.mark.parametrize("m", [5, 7])
 def test_tree_pattern_on_numpy_rows_matches_tuples(m):
     """One facet pair as uint16 rows keeps the pattern bits at 16 and above."""
@@ -320,13 +291,6 @@ def test_tree_pattern_on_numpy_rows_matches_tuples(m):
         assert enumeration._compose_valid_pattern(rows[i0], rows[i1], *args) == expected
         if i0 == i1:  # a facet composes with itself
             assert expected == g
-
-
-def test_connect_facets_rejects_conflicting_bows():
-    # Around the 2-face at facet vertices 00, 10, 11, 01 the bow rule forces
-    # an odd number of reversals, so the pattern cannot close up.
-    for seed in (0, 1):
-        assert connect_facets(Outmap(2, BOW), Outmap(2, EYE), seed) is None
 
 
 def _assert_mask_matches_scalar(m, lower_facets):
@@ -404,9 +368,9 @@ def test_compose_block_matches_scalar_composer_m4():
             assert [phi.values for phi in itertools.islice(stream, len(expected))] == expected
 
 
-# connect_facets on every ordered pair of odd(2), lower-major: the seed-0
-# and then the seed-1 values as octal digits, recorded with the per-vertex
-# composer
+# every ordered pair of odd(2), lower-major, composed by its tree pattern
+# and then flipped (_connected): the values as octal digits, recorded with
+# the per-vertex composer
 CONNECTED_ODD2 = (
     "0572413641360572", "0576432141320765", "0176542345321067", "0172563445361270",
     "0532614741762503", "0536635041722714", "0136745245723016", "0132764545763201",
@@ -443,9 +407,9 @@ RANDOM_USO4 = (
 
 
 def test_connect_facets_and_random_uso_pinned():
-    odd2 = list(enumerate_odd(2))
+    odd2 = [phi.values for phi in enumerate_odd(2)]
     connected = tuple(
-        "".join(f"{x:o}" for seed in (0, 1) for x in connect_facets(lower, upper, seed).values)
+        "".join(f"{x:o}" for values in _connected(lower, upper, 2) for x in values)
         for lower in odd2
         for upper in odd2
     )
@@ -849,7 +813,7 @@ def canonical_samples():
     """Outmaps of several classes and dimensions with their reference bodies."""
     rng = random.Random(0xCA11)
     samples = {
-        "orientations(2)": list(enumerate_orientations(2)),
+        "orientations(2)": orientations(2),
         "uso(3)": list(enumerate_usos(3)),
         "puso(3)": list(enumerate_pusos(3)),
         "odd(4)[::25]": list(enumerate_odd(4))[::25],
@@ -1015,10 +979,10 @@ def test_flip_stays_in_orbit_only_sometimes(km_3):
 
 
 def test_orbit_counts_for_small_classes():
-    assert count_orbits(enumerate_orientations(2)) == 4
-    assert count_orbits(enumerate_usos(2)) == 2
-    assert count_orbits(enumerate_usos(3)) == 19
-    assert count_orbits(enumerate_pusos(3)) == 2
+    assert len(orbit_representatives(orientations(2))) == 4
+    assert len(orbit_representatives(enumerate_usos(2))) == 2
+    assert len(orbit_representatives(enumerate_usos(3))) == 19
+    assert len(orbit_representatives(enumerate_pusos(3))) == 2
 
 
 def test_orbit_sizes_of_two_dimensional_usos():
@@ -1041,9 +1005,9 @@ def test_orbit_representatives_sorted_and_canonical():
 
 def test_orbit_validation():
     with pytest.raises(ValueError):
-        count_orbits([Outmap(1, (1, 0)), Outmap(2, (0, 1, 3, 2))])
+        orbit_representatives([Outmap(1, (1, 0)), Outmap(2, (0, 1, 3, 2))])
     with pytest.raises(ResourceLimitError):
-        count_orbits([klee_minty(6)])
+        orbit_representatives([klee_minty(6)])
     with pytest.raises(ResourceLimitError):
         canonical_form(klee_minty(6))
 
@@ -1073,11 +1037,8 @@ def test_random_odd_and_puso(rng):
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda: next(enumerate_outmap_functions(-1)), id="enumerate_outmap_functions"),
-        pytest.param(lambda: next(enumerate_orientations(-1)), id="enumerate_orientations"),
         pytest.param(lambda: next(enumerate_usos(-1)), id="enumerate_usos"),
         pytest.param(lambda: next(enumerate_pusos(-1)), id="enumerate_pusos"),
-        pytest.param(lambda: random_outmap(-1, random.Random(0)), id="random_outmap"),
         pytest.param(lambda: random_uso(-1, random.Random(0)), id="random_uso"),
         pytest.param(lambda: random_odd(-1, random.Random(0)), id="random_odd"),
         pytest.param(lambda: random_puso(-1, random.Random(0)), id="random_puso"),
@@ -1088,9 +1049,3 @@ def test_random_odd_and_puso(rng):
 def test_negative_dimensions_are_refused_by_name(call):
     with pytest.raises(ValueError, match="dimension -1 is negative"):
         call()
-
-
-def test_random_outmap_matches_seed():
-    a = random_outmap(3, random.Random(11))
-    b = random_outmap(3, random.Random(11))
-    assert a == b

@@ -27,11 +27,11 @@ from uso_kit import (
     is_uso_fast,
     klee_minty,
     random_odd,
-    random_outmap,
     random_puso,
     random_uso,
 )
 
+from conftest import random_outmap
 from test_enumeration import random_relabeling
 
 FLIPS_PER_DIMENSION = 200
