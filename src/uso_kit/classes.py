@@ -11,11 +11,11 @@ keeps the witness and pair count of a pair-by-pair scan; the test suite
 cross-checks it against the dual route (odd = dual is border), the cap
 route (odd = every face is a cap) and a pair-by-pair reference.
 
-is_border, is_odd and puso_parity need a USO or a PUSO.  When
-recognition.classify has already decided the outmap, they read its verdict
-from the outmap's memo (see cube.Outmap) instead of scanning every face
-again, but still charge the counter the 3**n - 2**n pair evaluations of
-that scan.  Inverses and caps read the carrier key map of cube._carrier_keys.
+is_border, is_odd and puso_parity need a USO or a PUSO.  They read the
+verdict recognition.classify stored in the outmap's memo (see cube.Outmap),
+or else call classify once, which stores it for the others, and charge the
+counter the 3**n - 2**n pair evaluations of a full face scan either way.
+Inverses and caps read the carrier key map of cube._carrier_keys.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .cube import (
     full_mask,
 )
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
-from .recognition import PairEvalCounter, Verdict, is_puso, is_uso_fast
+from .recognition import PairEvalCounter, Verdict, classify
 
 
 class Parity(enum.Enum):
@@ -74,26 +74,17 @@ def dual(phi: Outmap) -> Outmap:
     return Outmap(phi.n, tuple(_face_inverse(phi, phi.whole_face())[1].tolist()), _checked=True)
 
 
-def _has_verdict(phi: Outmap, verdict: Verdict, scan, counter: PairEvalCounter | None) -> bool:
+def _has_verdict(phi: Outmap, verdict: Verdict, counter: PairEvalCounter | None) -> bool:
     """Whether phi's verdict is `verdict`: the one classify stored in phi's
-    memo, or else scan(phi, counter), where scan is is_uso_fast or is_puso.
+    memo, or else that of classify(phi), which stores it.
 
-    A stored verdict is charged the scan's 3**n - 2**n pair evaluations, so
-    counts do not depend on whether classify ran first.
+    The counter is charged a full face scan's 3**n - 2**n pair evaluations
+    either way, so counts do not depend on whether classify ran first.
     """
-    known = _memo(phi).get("verdict")
-    if known is None:
-        return scan(phi, counter)
+    known = _memo(phi).get("verdict") or classify(phi).verdict
     if counter is not None:
         counter.count += 3**phi.n - 2**phi.n
     return known is verdict
-
-
-def _require_uso(phi: Outmap, counter: PairEvalCounter | None) -> None:
-    """Raise NotAUsoError unless phi is a USO, by the verdict classify stored
-    or else by is_uso_fast; the counter is charged 3**n - 2**n either way."""
-    if not _has_verdict(phi, Verdict.USO, is_uso_fast, counter):
-        raise NotAUsoError("input outmap is not a unique sink orientation")
 
 
 # Pairs per tile of the containment scan, so that its temporaries stay in cache.
@@ -161,9 +152,11 @@ def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
     (p, q) = (vertex, value) for odd and (value, vertex) for border.  The
     witness is the lexicographically first failing pair (U, V), U < V, and
     the counter receives the number of pairs up to and including it in
-    lexicographic order, as a pair-by-pair scan would.
+    lexicographic order, as a pair-by-pair scan would.  A non-USO raises
+    NotAUsoError after _has_verdict's charge.
     """
-    _require_uso(phi, counter)
+    if not _has_verdict(phi, Verdict.USO, counter):
+        raise NotAUsoError("input outmap is not a unique sink orientation")
     size = 1 << phi.n
     verts = np.arange(size, dtype=_vertex_dtype(phi.n))
     vals = _values(phi)
@@ -258,9 +251,9 @@ def all_faces_caps(phi: Outmap) -> bool:
 def puso_parity(phi: Outmap, counter: PairEvalCounter | None = None) -> Parity:
     """Common parity |phi(V)| mod 2 of a PUSO's values (even: 2 sinks, odd: 0).
 
-    Like _require_uso, reads a verdict stored by classify before running
-    is_puso, and charges 3**n - 2**n pair evaluations either way.
+    Like is_border and is_odd, reads the verdict from the memo or from one
+    classify call, and charges 3**n - 2**n pair evaluations either way.
     """
-    if not _has_verdict(phi, Verdict.PUSO, is_puso, counter):
+    if not _has_verdict(phi, Verdict.PUSO, counter):
         raise NotAPusoError("parity is defined for PUSOs only")
     return Parity.ODD if phi.values[0].bit_count() & 1 else Parity.EVEN

@@ -224,7 +224,7 @@ def _cmd_orbits(args) -> int:
             phi for path in args.files for phi in read_outmap_stream(_read_text(path))
         ]
         if not outmaps:
-            raise ValueError("no outmaps found in input")
+            raise FormatError("no outmaps found in input")
     else:
         raise ValueError("provide input files or --class with --n")
     reps = orbit_representatives(outmaps)

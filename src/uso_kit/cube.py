@@ -55,6 +55,8 @@ def mask_from_coords(coords) -> int:
 
 def coords_from_mask(mask: int) -> tuple[int, ...]:
     """Increasing tuple of coordinate numbers present in a mask."""
+    if mask < 0:
+        raise ValueError(f"coordinate masks are nonnegative, got {mask}")
     out = []
     i = 1
     while mask:
@@ -83,7 +85,7 @@ class FaceSpec:
     upper: int
 
     def __post_init__(self):
-        if self.lower < 0:
+        if self.lower < 0 or self.upper < 0:
             raise ValueError("face bounds must be nonnegative masks")
         if self.lower & ~self.upper:
             raise ValueError(

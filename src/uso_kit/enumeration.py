@@ -268,6 +268,7 @@ def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
     facet's block at a time (the vectorized pair filter finds the valid
     ones); it does not cache.
     """
+    _check_dimension(n)
     if n > 5 or (n == 5 and not allow_large):
         raise ResourceLimitError(
             "odd enumeration is capped at n = 4 (n = 5 via the long-running opt-in)"

@@ -13,12 +13,13 @@ budget.
 All face scans read one cached schedule, cube.face_schedule: the lower and
 upper vertex of every face as two arrays, faces ordered by dimension.  One
 numpy kernel, _face_failures, evaluates a slice of it for a single outmap
-or a (k, 2**n) matrix of outmaps in one gather-XOR-AND, and every face scan
-goes through it: is_uso_fast and is_puso read the whole schedule,
-is_orientation the edges, and classify one dimension at a time, so its
-first failing face has minimal dimension.  The pair-evaluation counts are
-those of a face-by-face scan.  is_uso_naive keeps its pure-Python pair
-loop as the independent oracle.
+or a (k, 2**n) matrix of outmaps in one gather-XOR-AND.  is_uso_fast and
+is_puso share _full_scan over the whole schedule.  _first_failing_face
+scans one dimension at a time, so its first failing face has minimal
+dimension; is_orientation reads the edge slice through it, and _report
+turns that face into the verdict of classify and is_uso_naive.  The
+pair-evaluation counts are those of a face-by-face scan.  is_uso_naive
+keeps its pure-Python pair loop as the independent oracle.
 """
 
 from __future__ import annotations
@@ -90,31 +91,8 @@ def _dim_starts(n: int) -> list[int]:
     return list(accumulate((comb(n, dim) << (n - dim) for dim in range(1, n + 1)), initial=0))
 
 
-def _first_failure(vals: np.ndarray, n: int, start: int, stop: int) -> int | None:
-    """Index in face_schedule(n) of the first failing face among start..stop, or None."""
-    fails = _face_failures(vals, n, start, stop)
-    return start + int(fails.argmax()) if fails.any() else None
-
-
-def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
-    """Consistency check: each edge is outgoing at exactly one endpoint.
-
-    Scans dimension-1 faces in faces_iter order (coordinate-major).
-    Returns (True, None), or (False, (V, i)) with the lower endpoint and
-    coordinate of the first inconsistent edge.
-    """
-    edges = _dim_starts(phi.n)[min(phi.n, 1)]
-    f = _first_failure(_values(phi), phi.n, 0, edges)
-    if counter is not None:
-        counter.count += edges if f is None else f + 1
-    if f is None:
-        return True, None
-    lowers, uppers = face_schedule(phi.n)
-    return False, (int(lowers[f]), int(lowers[f] ^ uppers[f]).bit_length())
-
-
-def _first_failing_face(phi: Outmap) -> tuple[int, FaceSpec | None]:
-    """Scan faces by increasing dimension (faces_iter order within a dimension).
+def _first_failing_face(phi: Outmap, top: int | None = None) -> tuple[int, FaceSpec | None]:
+    """Scan faces of dimension 1..top (default n) by dimension, faces_iter order within one.
 
     Returns (evaluations performed, first face whose antipodal pair fails).
     Because the scan stops at the minimal failing dimension and all smaller
@@ -124,13 +102,39 @@ def _first_failing_face(phi: Outmap) -> tuple[int, FaceSpec | None]:
     reads the larger faces.
     """
     vals = _values(phi)
-    starts = _dim_starts(phi.n)
+    starts = _dim_starts(phi.n)[: (phi.n if top is None else top) + 1]
     for start, stop in zip(starts, starts[1:]):
-        f = _first_failure(vals, phi.n, start, stop)
-        if f is not None:
+        fails = _face_failures(vals, phi.n, start, stop)
+        if fails.any():
+            f = start + int(fails.argmax())
             lowers, uppers = face_schedule(phi.n)
             return f + 1, FaceSpec(int(lowers[f]), int(uppers[f]))
     return starts[-1], None
+
+
+def _report(phi: Outmap, used: int, face: FaceSpec | None, witness) -> ClassificationReport:
+    """The report of a dimension-ordered scan whose first failing face is `face` (None: USO)."""
+    if face is None:
+        return ClassificationReport(Verdict.USO, None, None, used)
+    if face.dim == 1:
+        return ClassificationReport(Verdict.NOT_ORIENTATION, witness, None, used)
+    verdict = Verdict.PUSO if face.dim == phi.n else Verdict.OTHER
+    return ClassificationReport(verdict, witness, face, used)
+
+
+def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
+    """Consistency check: each edge is outgoing at exactly one endpoint.
+
+    Scans dimension-1 faces in faces_iter order (coordinate-major).
+    Returns (True, None), or (False, (V, i)) with the lower endpoint and
+    coordinate of the first inconsistent edge.
+    """
+    used, face = _first_failing_face(phi, 1)
+    if counter is not None:
+        counter.count += used
+    if face is None:
+        return True, None
+    return False, (face.lower, face.carrier.bit_length())
 
 
 def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:
@@ -144,7 +148,7 @@ def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> Classif
     values = phi.values
     size = 1 << phi.n
     used = 0
-    witness = None
+    witness = face = None
     for u in range(size):
         vu = values[u]
         for v in range(u + 1, size):
@@ -154,20 +158,21 @@ def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> Classif
                 break
         if witness:
             break
-    if witness is None:
-        if counter is not None:
-            counter.count += used
-        return ClassificationReport(Verdict.USO, None, None, used)
-    scan_used, face = _first_failing_face(phi)
-    used += scan_used
+    if witness is not None:
+        scan_used, face = _first_failing_face(phi)
+        used += scan_used
+        assert face is not None
     if counter is not None:
         counter.count += used
-    assert face is not None
-    if face.dim == 1:
-        return ClassificationReport(Verdict.NOT_ORIENTATION, witness, None, used)
-    if face.dim == phi.n:
-        return ClassificationReport(Verdict.PUSO, witness, face, used)
-    return ClassificationReport(Verdict.OTHER, witness, face, used)
+    return _report(phi, used, face, witness)
+
+
+def _full_scan(phi: Outmap, counter: PairEvalCounter | None) -> np.ndarray:
+    """Failures of every face of face_schedule(n), one pair evaluation charged per face."""
+    fails = _face_failures(_values(phi), phi.n)
+    if counter is not None:
+        counter.count += fails.size
+    return fails
 
 
 def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
@@ -177,10 +182,7 @@ def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     short-circuiting), so the counter hook reports the full budget on every
     input.
     """
-    fails = _face_failures(_values(phi), phi.n)
-    if counter is not None:
-        counter.count += fails.size
-    return not fails.any()
+    return not _full_scan(phi, counter).any()
 
 
 def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
@@ -189,10 +191,7 @@ def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     Uses the same 3**n - 2**n evaluation schedule as is_uso_fast.  Cubes of
     dimension < 2 admit no PUSO.
     """
-    fails = _face_failures(_values(phi), phi.n)
-    if counter is not None:
-        counter.count += fails.size
-    return bool(_puso_rows(fails, phi.n))
+    return bool(_puso_rows(_full_scan(phi, counter), phi.n))
 
 
 def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:
@@ -208,12 +207,6 @@ def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> Classificat
     used, face = _first_failing_face(phi)
     if counter is not None:
         counter.count += used
-    if face is None:
-        report = ClassificationReport(Verdict.USO, None, None, used)
-    elif face.dim == 1:
-        report = ClassificationReport(Verdict.NOT_ORIENTATION, (face.lower, face.upper), None, used)
-    else:
-        verdict = Verdict.PUSO if face.dim == phi.n else Verdict.OTHER
-        report = ClassificationReport(verdict, (face.lower, face.upper), face, used)
+    report = _report(phi, used, face, None if face is None else (face.lower, face.upper))
     _memo(phi)["verdict"] = report.verdict
     return report

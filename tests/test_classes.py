@@ -431,8 +431,7 @@ def test_scans_read_the_stored_verdict(monkeypatch):
     uso, puso = klee_minty(5), cyclic_puso(5)
     classify(uso)
     classify(puso)
-    monkeypatch.setattr(classes, "is_uso_fast", boom)
-    monkeypatch.setattr(classes, "is_puso", boom)
+    monkeypatch.setattr(classes, "classify", boom)
     counter = PairEvalCounter()
     assert is_odd(uso, counter)[0] and not is_border(uso, counter)[0]
     assert puso_parity(puso, counter) is Parity.EVEN  # value 0 at vertex 0
@@ -441,6 +440,24 @@ def test_scans_read_the_stored_verdict(monkeypatch):
     with pytest.raises(NotAUsoError):
         is_odd(puso, counter)
     assert counter.count >= 5 * (3**5 - 2**5)
+
+
+def test_class_checks_classify_an_unclassified_outmap_once(monkeypatch):
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return classify(phi)
+
+    monkeypatch.setattr(classes, "classify", counted)
+    phi = klee_minty(6)
+    counter = PairEvalCounter()
+    assert is_odd(phi, counter) == (True, None)
+    ok, (u, v) = is_border(phi, counter)
+    assert calls == [phi] and not ok
+    # the odd scan reads every pair, the border scan the pairs up to its witness
+    pairs = 64 * 63 // 2 + u * 63 - u * (u - 1) // 2 + (v - u)
+    assert counter.count == 2 * (3**6 - 2**6) + pairs
 
 
 def test_values_array_is_read_only_and_built_once():

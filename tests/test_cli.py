@@ -414,6 +414,17 @@ def test_orbits_requires_input(capsys):
     assert run(capsys, "orbits")[0] == 2
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n\n"], ids=["empty", "blank"])
+def test_orbits_of_no_records_is_malformed_input(text, capsys, monkeypatch):
+    """Empty or blank-only input exits 3, as check - on it does."""
+    for cmd in ("orbits", "check"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, cmd, "-")
+        assert (code, out) == (3, "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert run(capsys, "orbits", "-")[2] == "error: no outmaps found in input\n"
+
+
 def test_orbits_class_refuses_files(capsys):
     code, out, err = run(capsys, "orbits", "/no/such/file.uso", "--class", "uso", "--n", "2")
     assert code == 2

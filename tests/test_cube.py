@@ -49,6 +49,8 @@ def test_mask_round_trip():
     assert coords_from_mask(0) == ()
     with pytest.raises(ValueError):
         mask_from_coords((0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        coords_from_mask(-1)
 
 
 @given(st.integers(0, 5).flatmap(lambda n: st.sets(st.integers(1, max(n, 1)))))
@@ -66,6 +68,10 @@ def test_face_spec_basics():
     assert tuple(face.vertices()) == (0b001, 0b011, 0b101, 0b111)
     with pytest.raises(ValueError):
         FaceSpec(0b010, 0b001)
+    # a negative upper mask would name infinitely many coordinates
+    for lower, upper in ((-1, 0b11), (0, -1), (-2, -1)):
+        with pytest.raises(ValueError, match="face bounds must be nonnegative masks"):
+            FaceSpec(lower, upper)
 
 
 @pytest.mark.parametrize("n", range(0, 6))

@@ -1039,6 +1039,7 @@ def test_random_odd_and_puso(rng):
     [
         pytest.param(lambda: next(enumerate_usos(-1)), id="enumerate_usos"),
         pytest.param(lambda: next(enumerate_pusos(-1)), id="enumerate_pusos"),
+        pytest.param(lambda: next(enumerate_odd(-1)), id="enumerate_odd"),
         pytest.param(lambda: random_uso(-1, random.Random(0)), id="random_uso"),
         pytest.param(lambda: random_odd(-1, random.Random(0)), id="random_odd"),
         pytest.param(lambda: random_puso(-1, random.Random(0)), id="random_puso"),

@@ -23,7 +23,16 @@ from uso_kit import (
 )
 from uso_kit.recognition import _face_failures, _puso_rows
 
-from conftest import BOW, CYCLE, EMBEDDED_TWIN_PEAK, EYE, KM_3, TWIN_PEAK, outmap_functions
+from conftest import (
+    BOW,
+    CYCLE,
+    EMBEDDED_TWIN_PEAK,
+    EYE,
+    KM_3,
+    TWIN_PEAK,
+    outmap_functions,
+    random_outmap,
+)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +148,49 @@ def test_random_outmaps_fast_equals_naive():
         n = rng.choice((3, 4))
         phi = Outmap(n, tuple(rng.getrandbits(n) for _ in range(1 << n)))
         assert is_uso_fast(phi) == (is_uso_naive(phi).verdict is Verdict.USO)
+
+
+def _assert_recognizers_agree(phi):
+    """is_orientation and is_uso_naive read the first failing face classify finds."""
+    counters = [PairEvalCounter() for _ in range(3)]
+    report = classify(phi, counters[0])
+    ok, edge = is_orientation(phi, counters[1])
+    naive = is_uso_naive(phi, counters[2])
+    if report.verdict is Verdict.NOT_ORIENTATION:
+        v, i = edge
+        assert not ok and report.witness == (v, v | 1 << (i - 1))
+        assert counters[1].count == counters[0].count
+    else:
+        assert ok and edge is None
+        assert counters[1].count == phi.n * (1 << phi.n) // 2
+    assert (naive.verdict, naive.puso_face) == (report.verdict, report.puso_face)
+    size = 1 << phi.n
+    if naive.witness is None:
+        assert counters[2].count == size * (size - 1) // 2
+    else:
+        u, v = naive.witness
+        pairs = u * (size - 1) - u * (u - 1) // 2 + (v - u)
+        assert counters[2].count == pairs + counters[0].count
+    return report.verdict
+
+
+def test_recognizers_agree_on_the_first_failing_face():
+    verdicts = {_assert_recognizers_agree(phi) for phi in outmap_functions(2)}
+    rng = random.Random(4077)
+    for n in (0, 1, 3, 4, 5):
+        for _ in range(3000):
+            verdicts.add(_assert_recognizers_agree(random_outmap(n, rng)))
+    for n in range(2, 8):
+        for base in (klee_minty(n), cyclic_puso(n)):
+            verdicts.add(_assert_recognizers_agree(flip(base, rng.getrandbits(n))))
+    # klee_minty(4) with the edge at vertex 0 along coordinate 2 reversed
+    values = list(klee_minty(4).values)
+    values[0] ^= 0b10
+    values[0b10] ^= 0b10
+    other = Outmap(4, tuple(values))
+    assert _assert_recognizers_agree(other) is Verdict.OTHER
+    assert classify(other).puso_face == FaceSpec(0, 0b11)
+    assert verdicts == set(Verdict)
 
 
 @st.composite
