@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from functools import lru_cache, reduce
-from operator import index, or_
+from operator import index, itemgetter, or_
 from typing import Iterator
 
 import numpy as np
@@ -374,26 +374,26 @@ def _line_values(n: int) -> dict[str, int]:
 
 @lru_cache(maxsize=None)
 def _line_table(n: int) -> tuple[str, ...]:
-    """.uso line of every value, in value order: the keys of _line_values (n <= 10)."""
-    return tuple(_line_values(n))
+    """.uso line and newline of every value, in value order (n <= 10)."""
+    return tuple(line + "\n" for line in _line_values(n))
 
 
-def _uso_lines(values, n: int) -> list[str]:
-    """The .uso line of every value in a sequence of ints.
+def _uso_body(values, n: int) -> str:
+    """The .uso body of a sequence of int values: one newline-terminated line each.
 
-    Up to n = 10 a value indexes one line table.  Above, where that table
-    would hold up to 2**20 lines, coordinate 1 comes first in a line, so value
-    v renders as the line of its low k = n // 2 coordinates followed by the
-    line of its high n - k coordinates, each from the table of its dimension.
+    Up to n = 10 that is one itemgetter call on the line table (at n = 0, with one
+    index, itemgetter would return a bare line).  Above, where that table would hold
+    up to 2**20 lines, coordinate 1 comes first in a line, so value v renders as the
+    newline-free line of its low k = n // 2 coordinates and the line of its high n - k.
     """
     if n <= 10:
-        return list(map(_line_table(n).__getitem__, values))
+        return "".join(itemgetter(*values)(_line_table(n))) if n else "\n"
     k = n // 2
     mask = (1 << k) - 1
-    lo, hi = _line_table(k), _line_table(n - k)
-    return [lo[v & mask] + hi[v >> k] for v in values]
+    lo, hi = tuple(_line_values(k)), _line_table(n - k)
+    return "".join([lo[v & mask] + hi[v >> k] for v in values])
 
 
 def emit_uso(phi: Outmap) -> str:
     """Serialize an outmap to .uso text (with trailing newline)."""
-    return "\n".join([str(phi.n), *_uso_lines(phi.values, phi.n)]) + "\n"
+    return f"{phi.n}\n" + _uso_body(phi.values, phi.n)

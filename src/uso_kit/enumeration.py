@@ -63,7 +63,7 @@ import numpy as np
 
 from .classes import _first_failing_pair, dual
 from .constructions import _check_dimension, extend_border
-from .cube import FaceSpec, Outmap, _uso_lines, _vertex_dtype, face_schedule, parse_uso
+from .cube import Outmap, _uso_body, _vertex_dtype, face_schedule, parse_uso
 from .errors import ResourceLimitError
 from .recognition import _face_failures, _puso_rows
 
@@ -198,14 +198,25 @@ def _odd_distance_pairs(m: int) -> tuple[tuple[int, int, int], ...]:
 
 def _sink_rows(vals: np.ndarray, m: int) -> np.ndarray:
     """Sink vertex of every face with dim >= 1 (face_schedule order) for each row of
-    a (k, 2**m) array of USO values, as a read-only table."""
+    a (k, 2**m) array of USO values, as a read-only table.  The rows must be USOs: by
+    the unique-sink facet rule a face's sink is its lower facet's sink unless that vertex
+    points along the facets' bit, and then its upper facet's; facets come first by dimension.
+    """
     lowers, uppers = face_schedule(m)
+    index = {face: f for f, face in enumerate(zip(lowers.tolist(), uppers.tolist()))}
     # face-major in memory: the pair filter reads the sinks of one face at a time
-    rows = np.empty((vals.shape[0], len(lowers)), dtype=np.uint8, order="F")
-    for f, (lower, upper) in enumerate(zip(lowers.tolist(), uppers.tolist())):
-        verts = np.fromiter(FaceSpec(lower, upper).vertices(), dtype=np.int64)
-        block = vals[:, verts] & (lower ^ upper)
-        rows[:, f] = verts[(block == 0).argmax(axis=1)]
+    rows = np.empty((vals.shape[0], len(index)), dtype=np.uint8, order="F")
+    sink_vals = np.empty((len(index), vals.shape[0]), dtype=vals.dtype)
+    for (a, b), f in index.items():
+        bit = (a ^ b) & -(a ^ b)
+        if a ^ b == bit:  # an edge: its facets are its endpoints
+            s0, s1, v0, v1 = a, b, vals[:, a], vals[:, b]
+        else:
+            f0, f1 = index[a, b ^ bit], index[a | bit, b]
+            s0, s1, v0, v1 = rows[:, f0], rows[:, f1], sink_vals[f0], sink_vals[f1]
+        up = (v0 & bit).astype(bool)
+        rows[:, f] = np.where(up, s1, s0)
+        sink_vals[f] = np.where(up, v1, v0)
     rows.flags.writeable = False
     return rows
 
@@ -283,7 +294,7 @@ def enumerate_odd(n: int, allow_large: bool = False) -> Iterator[Outmap]:
 
 def _facet_arrays(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The full dimension-m odd USO list (_odd_values) and its sink table, both read-only.
-    The table is built per call: cached, it raised the exhaustive benchmark's peak RSS."""
+    The table is built on every call, in about 6 ms at m = 4."""
     return _odd_values(m), _sink_rows(_odd_values(m), m)
 
 
@@ -459,7 +470,7 @@ def count_table(max_n: int = 4, opt_in: Iterable[str] = (), jobs: int = 1) -> Co
 
     Every uso and odd cell with n >= 1 is the successor count over the
     dimension n - 1 list.  uso reaches row 3 and odd row 4, and the opt-ins
-    "uso4" (about 0.002 s) and "odd5" (about 0.3 s) raise them to rows 4
+    "uso4" (about 0.002 s) and "odd5" (about 0.2 s) raise them to rows 4
     and 5; cells above are None.  An opt-in whose row lies above max_n is
     refused with ValueError.  puso(n) = 2 * odd(n - 1) for n >= 2, and rows
     n <= 3 are checked against the sizes of the USO, PUSO and odd lists.
@@ -608,8 +619,7 @@ def _form_from_key(key, n: int) -> CanonicalForm:
     words = np.asarray(key, dtype=np.uint64)[np.arange(1 << n) // per_word]
     codes = words >> shifts & np.uint64((1 << bits) - 1)
     # position q holds rev[value], and bit reversal undoes itself: keyed[:, 0] is rev
-    lines = _uso_lines(_symmetry_gather(n)[0][codes, 0].tolist(), n)
-    return CanonicalForm(n, ("\n".join(lines) + "\n").encode())
+    return CanonicalForm(n, _uso_body(_symmetry_gather(n)[0][codes, 0].tolist(), n).encode())
 
 
 def canonical_form(phi: Outmap) -> CanonicalForm:

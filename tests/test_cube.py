@@ -314,6 +314,17 @@ def test_emit_matches_per_line_reference(n, seed, ones):
     assert emit_uso(phi) == _emit_reference(phi)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_emit_matches_per_line_reference_at_each_table_size(n):
+    """n = 0 (a one-index itemgetter), n = 1 and both sides of the n = 10 table limit."""
+    size = 1 << n
+    rng = random.Random(n)
+    records = [(0,) * size, (full_mask(n),) * size, tuple(rng.getrandbits(n) for _ in range(size))]
+    for values in records:
+        phi = Outmap(n, values)
+        assert emit_uso(phi) == _emit_reference(phi)
+
+
 def test_emit_matches_per_line_reference_klee_minty_16():
     phi = klee_minty(16)
     assert emit_uso(phi) == _emit_reference(phi)

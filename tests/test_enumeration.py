@@ -27,6 +27,7 @@ from uso_kit import (
     enumerate_pusos,
     enumerate_usos,
     extend_border,
+    face_sinks,
     flip,
     is_border,
     is_odd,
@@ -464,6 +465,26 @@ def test_facet_arrays_are_the_odd_list_and_a_read_only_sink_table(m):
     assert (rows == enumeration._sink_rows(nib, m)).all()
     with pytest.raises(ValueError):
         rows[0, 0] = 0
+
+
+@pytest.mark.parametrize(
+    "name, m, sample",
+    [("_uso_values", m, None) for m in range(4)]
+    + [("_odd_values", m, None) for m in range(4)]
+    + [("_odd_values", 4, 300)],
+)
+def test_sink_rows_match_face_sinks(name, m, sample):
+    """Second method: face_sinks keys each face's vertices by carrier, with no facet rule."""
+    vals = getattr(enumeration, name)(m)
+    rows = enumeration._sink_rows(vals, m)
+    assert rows.dtype == np.uint8 and rows.flags.f_contiguous and not rows.flags.writeable
+    faces = list(zip(*(side.tolist() for side in cube.face_schedule(m))))
+    assert rows.shape == (len(vals), len(faces))
+    picked = range(len(vals))
+    for i in picked if sample is None else random.Random(m).sample(picked, sample):
+        phi = Outmap(m, tuple(vals[i].tolist()))
+        expected = [face_sinks(phi, cube.FaceSpec(lower, upper)) for lower, upper in faces]
+        assert [(s,) for s in rows[i].tolist()] == expected, i
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -981,7 +1002,10 @@ def test_flip_stays_in_orbit_only_sometimes(km_3):
 def test_orbit_counts_for_small_classes():
     assert len(orbit_representatives(orientations(2))) == 4
     assert len(orbit_representatives(enumerate_usos(2))) == 2
-    assert len(orbit_representatives(enumerate_usos(3))) == 19
+    reps = orbit_representatives(enumerate_usos(3))
+    assert len(reps) == 19
+    for rep in reps:  # each body against a scalar rendering of its form
+        assert rep.body == "".join(value_line(v, 3) + "\n" for v in rep.to_outmap().values).encode()
     assert len(orbit_representatives(enumerate_pusos(3))) == 2
 
 
