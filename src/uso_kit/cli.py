@@ -225,6 +225,10 @@ def _cmd_orbits(args) -> int:
         ]
         if not outmaps:
             raise FormatError("no outmaps found in input")
+        k = next((k for k, phi in enumerate(outmaps) if phi.n != outmaps[0].n), 0)
+        if k:
+            dims = f"record {k + 1} has dimension {outmaps[k].n}, record 1 has {outmaps[0].n}"
+            raise FormatError(f"orbits need one common dimension: {dims}")
     else:
         raise ValueError("provide input files or --class with --n")
     reps = orbit_representatives(outmaps)

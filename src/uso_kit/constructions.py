@@ -126,8 +126,9 @@ def extend_border(psi: Outmap, bit: int) -> Outmap:
     PUSO for either bit (from psi.n = 0 it is no orientation: no 1-cube is
     a PUSO); when psi is merely a USO the result still has all proper faces
     USO no deeper than the facets, which the recognizers sort out.
-    Raises NotAUsoError unless psi is a USO.
+    Refuses a result above the cap, then raises NotAUsoError unless psi is a USO.
     """
+    _check_dimension(psi.n + 1)
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     if not is_uso_fast(psi):

@@ -29,16 +29,15 @@ _vertex_dtype(n); only streams and random draws turn its rows into Outmaps.
 
 Counting uses the same composition idea without materializing outmaps.
 A coloring g of the facet vertices (the connecting edges) joins two facet
-USOs into a USO iff g colors both sinks of every facet face alike, so
-uso(m + 1) is the collision sum of N_g(x)**2 over colorings g and keys x,
-N_g(x) the facets keyed x, once per orbit of colorings (14 at m = 3).
-Odd counts sum the pair filter's survivors once per symmetry orbit of
-lower facets (35 of odd 4-USOs).  Every uso and odd cell of the count
-table with n >= 1 is such a count over the dimension n - 1 list, so the
-table builds facet lists only up to n = 3 (n = 4 with the odd5 opt-in),
-in one process.  The sink-agreement union-find (_sink_components) only
-draws random_uso(4) and is the oracle the collision sum is tested
-against.  All streams and tables are deterministic.
+USOs into a USO iff g colors both sinks of every facet face alike, that
+is iff _coloring_keys keys them alike.  So uso(m + 1) is the collision sum
+of N_g(x)**2 over colorings g and keys x, N_g(x) the facets keyed x, once
+per orbit of colorings (14 at m = 3); the per-facet worker and random_uso(4)
+join by the same keys.  Odd counts sum the pair filter's survivors once per
+symmetry orbit of lower facets (35 of odd 4-USOs).  Every uso and odd cell
+of the count table with n >= 1 is such a count over the dimension n - 1
+list, so the table builds facet lists only up to n = 3 (n = 4 with the
+odd5 opt-in), in one process.  All streams and tables are deterministic.
 
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
 2**n * n! cube symmetries, n <= 5); the canonical form of an outmap is the
@@ -351,35 +350,31 @@ def _odd_successor_worker(args) -> int:
     return total
 
 
-def _sink_components(row0, rows1, size: int) -> np.ndarray:
-    """Union-find over facet vertices for one lower facet and k upper facets at once.
+def _coloring_keys(rows: np.ndarray, m: int, colorings) -> np.ndarray:
+    """(k, c) int64 key of each facet (row of the sink table rows) under each coloring.
 
-    Each face joins its sink in the lower facet (row0) with its sink in
-    upper facet j (row j of rows1); a component's connecting edges all
-    point the same way.  Returns the (k, size) fully compressed roots: a
-    union turns every root equal to the lower sink's root ra into the upper
-    sink's root rb, as parent[ra] = rb does in the scalar forest, so the
-    roots are that forest's.  Each component has one vertex that is its root.
+    Bit v of coloring g colors facet vertex v (1 = its connecting edge points
+    up).  Bit f of a key is g's color of face f's sink; coloring j adds j above
+    the face bits, so g joins two facets into a USO iff it keys them alike.
     """
-    k = len(rows1)
-    # vertex-major: roots[v, j] is the root of vertex v for upper facet j
-    roots = np.repeat(np.arange(size, dtype=np.uint8)[:, None], k, axis=1)
-    sinks = rows1.T.astype(np.intp) * k + np.arange(k)  # flat index of each upper sink
-    for a, at in zip(row0.tolist(), sinks):
-        ra = roots[a]
-        # xor by ra ^ rb turns exactly the entries equal to ra into rb
-        roots ^= (roots == ra) * (ra ^ roots.ravel().take(at))
-    return roots.T
+    verts = np.arange(1 << m, dtype=np.uint8)
+    # bit f of masks[i, v] says face f of facet i sinks at v (filled face by face: no
+    # 3-d temporary), so g keys facet i by the sum of masks[i] over its 1-vertices
+    masks = np.zeros((len(rows), len(verts)), dtype=np.int64)
+    for f in range(rows.shape[1]):
+        masks |= (rows[:, f, None] == verts) << f
+    bits = np.asarray(colorings)[:, None] >> verts & 1
+    keys = masks @ bits.T
+    keys += np.arange(len(bits)) << rows.shape[1]  # one key range per coloring
+    return keys
 
 
 def _uso_successor_worker(args) -> int:
+    """(m+1)-USOs whose lower facet is facet lo..hi-1 of the sink table rows, size = 2**m:
+    for each such facet L and each coloring, the facets it keys like L (L included)."""
     rows, size, lo, hi = args
-    verts = np.arange(size)
-    total = 0
-    for i0 in range(lo, hi):
-        comps = (_sink_components(rows[i0], rows, size) == verts).sum(axis=1)
-        total += int((1 << comps).sum())
-    return total
+    keys = _coloring_keys(np.asarray(rows), size.bit_length() - 1, np.arange(1 << size))
+    return sum(int((keys == keys[i]).sum()) for i in range(lo, hi))
 
 
 def _coloring_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -402,23 +397,15 @@ def count_uso_successor(m: int) -> int:
     the collision sum of N_g(x)**2 over g and keys x = (g(sink of f))_f,
     N_g(x) the facets keyed x.  The sum over x is constant on the orbit of g
     under the cube symmetries and complement (1, 2, 4, 14 orbits for
-    m = 0..3), so it is taken once per orbit and weighted by the orbit size.
+    m = 0..3), so _coloring_keys takes one coloring per orbit, weighted by its size.
     """
     _check_dimension(m)
     if m > 3:
         raise ResourceLimitError("USO successor counting needs the full list of dimension <= 3")
-    rows, verts = _uso_sink_rows(m), np.arange(1 << m, dtype=np.uint8)
+    rows = _uso_sink_rows(m)
     reps, weights = _coloring_orbits(m)
-    # bit f of masks[i, v] says face f of facet i sinks at v (filled face by face: no
-    # 3-d temporary), so g keys facet i by the sum of masks[i] over its 1-vertices
-    faces = rows.shape[1]
-    masks = np.zeros((len(rows), len(verts)), dtype=np.int64)
-    for f in range(faces):
-        masks |= (rows[:, f, None] == verts) << f
-    keys = masks @ (reps[:, None] >> verts & 1).T
-    keys += np.arange(len(reps)) << faces  # one key range per orbit
-    found, counts = np.unique(keys, return_counts=True)
-    return int(weights[found >> faces] @ counts**2)
+    found, counts = np.unique(_coloring_keys(rows, m, reps), return_counts=True)
+    return int(weights[found >> rows.shape[1]] @ counts**2)
 
 
 def count_odd_successor(m: int) -> int:
@@ -680,21 +667,18 @@ def enumerate_class(kind: str, n: int, allow_large: bool = False) -> Iterator[Ou
 
 
 def random_uso(n: int, rng) -> Outmap:
-    """Random USO: sampled from the full list for n <= 3, composed for n = 4."""
+    """Random USO: sampled from the full list for n <= 3; for n = 4 a random facet pair
+    joined by a uniform draw from the colorings _coloring_keys keys both alike by."""
     _check_dimension(n)
     if n <= 3:
         return Outmap(n, rng.choice(_uso_values(n)))
     if n != 4:
         raise ResourceLimitError("random USOs are supported for n <= 4")
-    values_list = _uso_values(3)
-    rows = _uso_sink_rows(3)
-    i0 = rng.randrange(len(values_list))
-    i1 = rng.randrange(len(values_list))
-    roots = _sink_components(rows[i0], rows[i1 : i1 + 1], 8)[0].tolist()
-    root_bits = {root: rng.getrandbits(1) for root in sorted(set(roots))}
-    pattern = sum(root_bits[root] << v for v, root in enumerate(roots))
-    block = _compose_block(values_list[i0], values_list[i1 : i1 + 1], np.array([pattern]), 3)
-    return Outmap(4, block[0])
+    vals, rows = _uso_values(3), _uso_sink_rows(3)
+    i0, i1 = rng.randrange(len(vals)), rng.randrange(len(vals))
+    joins = np.flatnonzero(np.equal(*_coloring_keys(rows[[i0, i1]], 3, np.arange(256))))
+    pattern = joins[rng.randrange(len(joins))]
+    return Outmap(4, _compose_block(vals[i0], vals[i1 : i1 + 1], np.array([pattern]), 3)[0])
 
 
 def random_odd(n: int, rng) -> Outmap:

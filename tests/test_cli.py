@@ -32,6 +32,7 @@ from uso_kit import (
     is_puso,
     klee_minty,
     odd_family,
+    orbit_representatives,
     parse_uso,
     random_puso,
     random_uso,
@@ -208,7 +209,7 @@ def test_class_check_dual_outputs_are_pinned(tmp_path, capsys):
             code, out, err = run(capsys, command, str(path))
             digest.update(f"{k} {command} {code}\n{out}\0{err}\0".encode())
     assert digest.hexdigest() == (
-        "d07447a95ff6ae10ee992afce0019d5b9a3b5506e6445c55155249096b758256"
+        "cf5cfe49cf6f0a8078ca2b5128b8576716dbb7e88dd59dec217152e7b47d3106"
     )
 
 
@@ -423,6 +424,21 @@ def test_orbits_of_no_records_is_malformed_input(text, capsys, monkeypatch):
         assert (code, out) == (3, "")
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     assert run(capsys, "orbits", "-")[2] == "error: no outmaps found in input\n"
+
+
+def test_orbits_of_mixed_dimensions_is_malformed_input(tmp_path, capsys, monkeypatch):
+    """Exit 3 naming the first record whose dimension differs from record 1's; records
+    count across files.  The library keeps its ValueError."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\n0\n1\n2\n00\n10\n11\n01\n"))
+    err = "error: orbits need one common dimension: record 2 has dimension 2, record 1 has 1\n"
+    assert run(capsys, "orbits", "-") == (3, "", err)
+    first = write_uso(tmp_path, "km.uso", KM_3)
+    second = tmp_path / "two.uso"
+    second.write_text(emit_uso(klee_minty(3)) + emit_uso(klee_minty(2)), encoding="utf-8")
+    err = "error: orbits need one common dimension: record 3 has dimension 2, record 1 has 3\n"
+    assert run(capsys, "orbits", first, str(second)) == (3, "", err)
+    with pytest.raises(ValueError, match="one common dimension"):
+        orbit_representatives([klee_minty(1), klee_minty(2)])
 
 
 def test_orbits_class_refuses_files(capsys):

@@ -10,6 +10,7 @@ from uso_kit import (
     Outmap,
     Parity,
     PreconditionViolatedError,
+    ResourceLimitError,
     complement_vertex,
     cyclic_puso,
     dual,
@@ -27,6 +28,7 @@ from uso_kit import (
     odd_family,
     puso_parity,
 )
+from uso_kit import constructions
 
 from conftest import BORDER_3, BOW, KM_3, TWIN_PEAK
 
@@ -181,6 +183,17 @@ def test_extend_border_on_eyes_gives_non_pusos():
 def test_extend_border_rejects_non_usos(twin_peak):
     with pytest.raises(NotAUsoError):
         extend_border(twin_peak, 0)
+
+
+def test_extend_border_refuses_a_result_above_the_cap_before_the_uso_check(monkeypatch):
+    """A 20-cube would extend to dimension 21: refused before any face of it is scanned."""
+
+    def no_scan(phi):
+        raise AssertionError("is_uso_fast ran before the dimension check")
+
+    monkeypatch.setattr(constructions, "is_uso_fast", no_scan)
+    with pytest.raises(ResourceLimitError, match="^dimension 21 exceeds the cap of 20$"):
+        extend_border(klee_minty(20), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -391,19 +391,20 @@ CONNECTED_ODD2 = (
     "3241650776052143", "3245671076012354", "3645701272013456", "3641720572053641",
 )
 
-# random_uso(4, random.Random(k)) for k = 0..9, values as hex digits,
-# recorded with the per-vertex composer
+# random_uso(4, random.Random(k)) for k = 0..9, values as hex digits, recorded
+# with the coloring draw: two facet indices, then one index into the pair's
+# joining colorings in ascending order
 RANDOM_USO4 = (
-    "6f4dba98e3c10527",
-    "bacdef8943610725",
+    "67453210ebc98daf",
+    "32456f01cbe987ad",
     "7a451e30b6dcf298",
-    "dc67182345ba90fe",
-    "5c67123094fed8ba",
+    "54671823cdba90fe",
+    "d4ef92301c7658ba",
     "c9ba8fed50761432",
-    "43210567f8debc9a",
-    "1076c523ba894dfe",
+    "cba98def70563412",
+    "98fe4dab3201c576",
     "dcbe98fa67542301",
-    "27456301cdaf89eb",
+    "2f4d6b09c5a781e3",
 )
 
 
@@ -419,6 +420,17 @@ def test_connect_facets_and_random_uso_pinned():
         "".join(f"{x:x}" for x in random_uso(4, random.Random(k)).values) for k in range(10)
     )
     assert drawn == RANDOM_USO4
+
+
+def test_random_uso4_pins_keep_the_seeded_facets():
+    """Each pinned draw's lower and upper facets are the rows random.Random(k) picks first."""
+    vals = enumeration._uso_values(3).tolist()
+    for k, pin in enumerate(RANDOM_USO4):
+        values = [int(digit, 16) for digit in pin]
+        rng = random.Random(k)
+        i0, i1 = rng.randrange(744), rng.randrange(744)
+        assert [x & 7 for x in values[:8]] == vals[i0]
+        assert [x & 7 for x in values[8:]] == vals[i1]
 
 
 # ---------------------------------------------------------------------------
@@ -558,22 +570,6 @@ def test_collision_sum_is_constant_on_coloring_orbits(m):
     assert total == count_uso_successor(m) == (2, 12, 744, 5_541_744)[m]
 
 
-def test_collision_sum_matches_sink_components_per_lower_facet():
-    """Per lower facet L: sum over U of 2**c(L, U) from the union-find equals the
-    number of (coloring, U) with U keyed like L."""
-    rows = enumeration._uso_sink_rows(3)
-    lowers = random.Random(31).sample(range(744), 5)
-    by_colorings = [0] * len(lowers)
-    for g in range(256):
-        keys = g >> rows & 1
-        for k, i0 in enumerate(lowers):
-            by_colorings[k] += int((keys == keys[i0]).all(axis=1).sum())
-    verts = np.arange(8)
-    for i0, want in zip(lowers, by_colorings):
-        components = (enumeration._sink_components(rows[i0], rows, 8) == verts).sum(axis=1)
-        assert int((1 << components).sum()) == want
-
-
 def test_cold_count_table_builds_no_three_dimensional_outmap(monkeypatch):
     """The uso4 cell and the n <= 3 checks read value arrays and build no Outmap at all."""
     for module in (cube, recognition, classes, constructions, enumeration):
@@ -596,8 +592,10 @@ def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
     """Scalar union-find over facet vertices: join each face's sink in the
     lower facet (row0) with that face's sink in the upper facet (row1).
 
-    Returns the forest (parent list) and its number of components.  The
-    reference the batched _sink_components is tested against.
+    Returns the forest (parent list) and its number of components: the
+    reference the coloring keys of _uso_successor_worker and random_uso(4)
+    are tested against, since the colorings joining two facets are those
+    constant on every component, 2**components of them.
     """
     parent = list(range(size))
     comps = size
@@ -614,37 +612,60 @@ def _merge_sinks(row0, row1, size: int) -> tuple[list[int], int]:
     return parent, comps
 
 
-def _assert_components_match_scalar(m: int, lower_facets) -> None:
+def _assert_worker_matches_scalar(m: int, lower_facets) -> None:
+    """Per lower facet L: the worker's count is the sum over U of 2**c(L, U)."""
     rows = enumeration._uso_sink_rows(m)
     size = 1 << m
     row_list = rows.tolist()
     for i0 in lower_facets:
-        roots = enumeration._sink_components(rows[i0], rows, size)
-        assert roots.shape == (len(row_list), size)
-        for row1, got in zip(row_list, roots.tolist()):
-            parent, comps = _merge_sinks(row_list[i0], row1, size)
-            want = []
-            for v in range(size):
-                while parent[v] != v:
-                    v = parent[v]
-                want.append(v)
-            assert got == want
-            assert sum(root == v for v, root in enumerate(got)) == comps
+        want = sum(1 << _merge_sinks(row_list[i0], row1, size)[1] for row1 in row_list)
+        assert enumeration._uso_successor_worker((rows, size, i0, i0 + 1)) == want
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
-def test_sink_components_match_scalar_union_find(m):
-    """Every ordered facet pair: same roots and component counts as the scalar forest."""
-    _assert_components_match_scalar(m, range(len(enumeration._uso_values(m))))
+def test_uso_successor_worker_matches_scalar_union_find(m):
+    """Every lower facet against all uppers, by the scalar forest."""
+    _assert_worker_matches_scalar(m, range(len(enumeration._uso_values(m))))
 
 
-def test_sink_components_match_scalar_union_find_m3():
+def test_uso_successor_worker_matches_scalar_union_find_m3():
     """The 19 orbit representatives and 40 seeded lower facets, each against all 744 uppers."""
     vals = np.asarray(enumeration._uso_values(3), dtype=np.uint8)
     _, firsts = np.unique(enumeration._canonical_keys(vals, 3), axis=0, return_index=True)
     assert len(firsts) == 19
     seeded = random.Random(3).sample(range(744), 40)
-    _assert_components_match_scalar(3, [*firsts.tolist(), *seeded])
+    _assert_worker_matches_scalar(3, [*firsts.tolist(), *seeded])
+
+
+class _ScriptedRng:
+    """randrange returns the scripted indices in turn, checking each bound."""
+
+    def __init__(self, script):
+        self.script = list(script)
+
+    def randrange(self, stop):
+        bound, index = self.script.pop(0)
+        assert stop == bound
+        return index
+
+
+def test_random_uso4_draws_exactly_the_joining_colorings():
+    """For seeded facet pairs, index k of the coloring draw gives the k-th of the 2**c
+    USOs that brute force keeps, c the scalar forest's component count."""
+    vals, rows = enumeration._uso_values(3), enumeration._uso_sink_rows(3).tolist()
+    rng = random.Random(2401)
+    for _ in range(3):
+        i0, i1 = rng.randrange(744), rng.randrange(744)
+        block = enumeration._compose_block(
+            vals[i0], np.repeat(vals[i1 : i1 + 1], 256, axis=0), np.arange(256), 3
+        )[::2]  # the seed rows: pattern g for g = 0..255
+        kept = block[~recognition._face_failures(block, 4).any(axis=1)].tolist()
+        assert len(kept) == 1 << _merge_sinks(rows[i0], rows[i1], 8)[1]
+        drawn = [
+            list(random_uso(4, _ScriptedRng([(744, i0), (744, i1), (len(kept), k)])).values)
+            for k in range(len(kept))
+        ]
+        assert drawn == kept
 
 
 def test_odd_successor_count_matches_full_range_sum():
