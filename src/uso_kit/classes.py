@@ -11,10 +11,10 @@ keeps the witness and pair count of a pair-by-pair scan; the test suite
 cross-checks it against the dual route (odd = dual is border), the cap
 route (odd = every face is a cap) and a pair-by-pair reference.
 
-is_border, is_odd and puso_parity need a USO or a PUSO.  They read the
-verdict recognition.classify stored in the outmap's memo (see cube.Outmap),
-or else call classify once, which stores it for the others, and charge the
-counter the 3**n - 2**n pair evaluations of a full face scan either way.
+is_border, is_odd and puso_parity need a USO or a PUSO: they gate through
+is_uso_fast and is_puso, which read the verdict recognition.classify stored
+in the outmap's memo (see cube.Outmap), or else call classify once, which
+stores it for the others, and charge 3**n - 2**n pair evaluations either way.
 Inverses and caps read the carrier key map of cube._carrier_keys.
 """
 
@@ -30,13 +30,12 @@ from .cube import (
     FaceSpec,
     Outmap,
     _carrier_keys,
-    _memo,
     _values,
     _vertex_dtype,
     full_mask,
 )
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
-from .recognition import PairEvalCounter, Verdict, classify
+from .recognition import PairEvalCounter, is_puso, is_uso_fast
 
 
 class Parity(enum.Enum):
@@ -72,19 +71,6 @@ def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
 def dual(phi: Outmap) -> Outmap:
     """Inverse outmap phi**-1; requires phi to be a bijection, which _face_inverse checks."""
     return Outmap(phi.n, tuple(_face_inverse(phi, phi.whole_face())[1].tolist()), _checked=True)
-
-
-def _has_verdict(phi: Outmap, verdict: Verdict, counter: PairEvalCounter | None) -> bool:
-    """Whether phi's verdict is `verdict`: the one classify stored in phi's
-    memo, or else that of classify(phi), which stores it.
-
-    The counter is charged a full face scan's 3**n - 2**n pair evaluations
-    either way, so counts do not depend on whether classify ran first.
-    """
-    known = _memo(phi).get("verdict") or classify(phi).verdict
-    if counter is not None:
-        counter.count += 3**phi.n - 2**phi.n
-    return known is verdict
 
 
 # Pairs per tile of the containment scan, so that its temporaries stay in cache.
@@ -152,10 +138,10 @@ def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
     (p, q) = (vertex, value) for odd and (value, vertex) for border.  The
     witness is the lexicographically first failing pair (U, V), U < V, and
     the counter receives the number of pairs up to and including it in
-    lexicographic order, as a pair-by-pair scan would.  A non-USO raises
-    NotAUsoError after _has_verdict's charge.
+    lexicographic order, as a pair-by-pair scan would.  The USO gate is
+    is_uso_fast, so a non-USO raises NotAUsoError after its 3**n - 2**n charge.
     """
-    if not _has_verdict(phi, Verdict.USO, counter):
+    if not is_uso_fast(phi, counter):
         raise NotAUsoError("input outmap is not a unique sink orientation")
     size = 1 << phi.n
     verts = np.arange(size, dtype=_vertex_dtype(phi.n))
@@ -251,9 +237,9 @@ def all_faces_caps(phi: Outmap) -> bool:
 def puso_parity(phi: Outmap, counter: PairEvalCounter | None = None) -> Parity:
     """Common parity |phi(V)| mod 2 of a PUSO's values (even: 2 sinks, odd: 0).
 
-    Like is_border and is_odd, reads the verdict from the memo or from one
-    classify call, and charges 3**n - 2**n pair evaluations either way.
+    The PUSO gate is is_puso, which reads classify's stored verdict (or
+    classifies once) and charges 3**n - 2**n pair evaluations either way.
     """
-    if not _has_verdict(phi, Verdict.PUSO, counter):
+    if not is_puso(phi, counter):
         raise NotAPusoError("parity is defined for PUSOs only")
     return Parity.ODD if phi.values[0].bit_count() & 1 else Parity.EVEN

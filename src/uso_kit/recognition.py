@@ -12,14 +12,15 @@ budget.
 
 All face scans read one cached schedule, cube.face_schedule: the lower and
 upper vertex of every face as two arrays, faces ordered by dimension.  One
-numpy kernel, _face_failures, evaluates a slice of it for a single outmap
-or a (k, 2**n) matrix of outmaps in one gather-XOR-AND.  is_uso_fast and
-is_puso share _full_scan over the whole schedule.  _first_failing_face
-scans one dimension at a time, so its first failing face has minimal
-dimension; is_orientation reads the edge slice through it, and _report
-turns that face into the verdict of classify and is_uso_naive.  The
-pair-evaluation counts are those of a face-by-face scan.  is_uso_naive
-keeps its pure-Python pair loop as the independent oracle.
+numpy kernel, _face_failures, evaluates a slice of it in one gather-XOR-AND
+for one outmap or, for enumeration's batch class lists, a (k, 2**n) matrix
+of outmaps.  A single outmap has one scan, _first_failing_face, one
+dimension at a time, so its first failing face has minimal dimension;
+is_orientation reads the edge slice through it, _report turns that face
+into the verdict of classify and is_uso_naive, and is_uso_fast and is_puso
+read the verdict classify stored (_has_verdict).  The pair-evaluation
+counts are those of a face-by-face scan.  is_uso_naive keeps its
+pure-Python pair loop as the independent oracle.
 """
 
 from __future__ import annotations
@@ -167,31 +168,36 @@ def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> Classif
     return _report(phi, used, face, witness)
 
 
-def _full_scan(phi: Outmap, counter: PairEvalCounter | None) -> np.ndarray:
-    """Failures of every face of face_schedule(n), one pair evaluation charged per face."""
-    fails = _face_failures(_values(phi), phi.n)
+def _has_verdict(phi: Outmap, verdict: Verdict, counter: PairEvalCounter | None) -> bool:
+    """Whether phi's verdict is `verdict`: the one classify stored in phi's
+    memo, or else that of classify(phi), which stores it.
+
+    The counter is charged a full face scan's 3**n - 2**n pair evaluations
+    either way, so counts do not depend on whether classify ran first.
+    """
+    known = _memo(phi).get("verdict") or classify(phi).verdict
     if counter is not None:
-        counter.count += fails.size
-    return fails
+        counter.count += 3**phi.n - 2**phi.n
+    return known is verdict
 
 
 def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     """True iff the antipodal pair of every face with dim >= 1 succeeds.
 
-    Always performs exactly 3**n - 2**n pair evaluations (one per face, no
-    short-circuiting), so the counter hook reports the full budget on every
-    input.
+    Reads classify's verdict through _has_verdict.  The counter is charged
+    exactly 3**n - 2**n pair evaluations (one per face) on every input,
+    though classify's scan stops at the first failing dimension.
     """
-    return not _full_scan(phi, counter).any()
+    return _has_verdict(phi, Verdict.USO, counter)
 
 
 def is_puso(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     """True iff every proper face's antipodal pair succeeds and the whole cube's fails.
 
-    Uses the same 3**n - 2**n evaluation schedule as is_uso_fast.  Cubes of
-    dimension < 2 admit no PUSO.
+    classify's PUSO verdict: its first failing face is the whole cube, of
+    dimension >= 2, so cubes of dimension < 2 admit none.  Charges 3**n - 2**n.
     """
-    return bool(_puso_rows(_full_scan(phi, counter), phi.n))
+    return _has_verdict(phi, Verdict.PUSO, counter)
 
 
 def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:
@@ -202,7 +208,7 @@ def classify(phi: Outmap, counter: PairEvalCounter | None = None) -> Classificat
     dimension 1 means NotOrientation, dimension n means PUSO, and a proper
     face of dimension >= 2 means Other with that face as puso_face.  No
     failure anywhere means USO.  The verdict is stored in the outmap's memo
-    (see cube.Outmap), where the classes module reads it.
+    (see cube.Outmap), where _has_verdict reads it.
     """
     used, face = _first_failing_face(phi)
     if counter is not None:

@@ -27,12 +27,15 @@ from uso_kit import (
     enumerate_odd,
     enumerate_pusos,
     enumerate_usos,
+    extend_border,
     face_sinks,
     faces_iter,
     flip,
     is_border,
     is_cap,
     is_odd,
+    is_puso,
+    is_uso_fast,
     klee_minty,
     odd_family,
     puso_parity,
@@ -431,7 +434,7 @@ def test_scans_read_the_stored_verdict(monkeypatch):
     uso, puso = klee_minty(5), cyclic_puso(5)
     classify(uso)
     classify(puso)
-    monkeypatch.setattr(classes, "classify", boom)
+    monkeypatch.setattr(recognition, "classify", boom)
     counter = PairEvalCounter()
     assert is_odd(uso, counter)[0] and not is_border(uso, counter)[0]
     assert puso_parity(puso, counter) is Parity.EVEN  # value 0 at vertex 0
@@ -442,6 +445,42 @@ def test_scans_read_the_stored_verdict(monkeypatch):
     assert counter.count >= 5 * (3**5 - 2**5)
 
 
+def test_classified_outmaps_make_no_kernel_call(monkeypatch):
+    """After classify, every verdict gate reads the stored verdict and still
+    charges 3**n - 2**n; is_odd's pair scan adds what it adds on a fresh outmap."""
+    border, puso = dual(klee_minty(5)), cyclic_puso(5)
+    odd_count = PairEvalCounter()
+    odd_answer = is_odd(Outmap(5, border.values), odd_count)
+    classify(border)
+    classify(puso)
+
+    def boom(*args):
+        raise AssertionError("face kernel called although classify stored a verdict")
+
+    monkeypatch.setattr(recognition, "_face_failures", boom)
+    budget = 3**5 - 2**5
+    for phi, gate, want in [
+        (border, is_uso_fast, True),
+        (border, is_puso, False),
+        (puso, is_uso_fast, False),
+        (puso, is_puso, True),
+        (puso, puso_parity, Parity.EVEN),
+    ]:
+        counter = PairEvalCounter()
+        assert gate(phi, counter) == want
+        assert counter.count == budget
+    counter = PairEvalCounter()
+    with pytest.raises(NotAPusoError):
+        puso_parity(border, counter)
+    assert counter.count == budget
+    counter = PairEvalCounter()
+    assert is_odd(border, counter) == odd_answer and not odd_answer[0]
+    assert counter.count == odd_count.count > budget
+    doubled = extend_border(border, 0)
+    monkeypatch.undo()
+    assert is_puso(doubled)
+
+
 def test_class_checks_classify_an_unclassified_outmap_once(monkeypatch):
     calls = []
 
@@ -449,7 +488,7 @@ def test_class_checks_classify_an_unclassified_outmap_once(monkeypatch):
         calls.append(phi)
         return classify(phi)
 
-    monkeypatch.setattr(classes, "classify", counted)
+    monkeypatch.setattr(recognition, "classify", counted)
     phi = klee_minty(6)
     counter = PairEvalCounter()
     assert is_odd(phi, counter) == (True, None)

@@ -677,21 +677,37 @@ def test_odd_five_dimensional_count():
     assert count_odd_successor(4) == 44_075_264
 
 
-@pytest.mark.parametrize("kind, m, orbits", [("uso", 2, 2), ("uso", 3, 19), ("odd", 3, 3)])
-def test_lower_facet_totals_are_constant_on_orbits(kind, m, orbits):
-    """What orbit weighting rests on, with orbits found by the scalar canonicalizer."""
+@pytest.mark.parametrize(
+    "kind, m, orbits, cell",
+    [
+        pytest.param("uso", 2, 2, 744, id="uso-2-2"),
+        pytest.param("uso", 3, 19, 5_541_744, id="uso-3-19"),
+        pytest.param("odd", 3, 3, 12928, id="odd-3-3"),
+    ],
+)
+def test_lower_facet_totals_are_constant_on_orbits(kind, m, orbits, cell):
+    """What orbit weighting rests on, with orbits found by the scalar canonicalizer.
+
+    The uso totals come from one coloring-key table: facet L's total is the
+    number of (coloring, facet) pairs keyed like L.  The per-facet worker
+    calls are checked against the scalar union-find above.
+    """
     if kind == "uso":
         values = enumeration._uso_values(m)
         rows = enumeration._sink_rows(values, m)
-        totals = [
-            enumeration._uso_successor_worker((rows, 1 << m, i, i + 1)) for i in range(len(values))
-        ]
+        keys = enumeration._coloring_keys(rows, m, np.arange(1 << (1 << m)))
+        _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        totals = counts[inverse].reshape(keys.shape).sum(axis=1).tolist()
+        whole = enumeration._uso_successor_worker((rows, 1 << m, 0, len(values)))
     else:
         values = enumeration._odd_values(m)
         nib, rows = enumeration._facet_arrays(m)
         totals = [
             enumeration._odd_successor_worker((nib, rows, m, i, i + 1)) for i in range(len(values))
         ]
+        whole = enumeration._odd_successor_worker((nib, rows, m, 0, len(values)))
+    # the totals add up to the next count-table cell, as one whole-range call does
+    assert sum(totals) == whole == cell
     by_orbit: dict[bytes, set[int]] = {}
     for facet, total in zip(values.tolist(), totals):
         by_orbit.setdefault(_scalar_canonical_body(Outmap(m, tuple(facet))), set()).add(total)

@@ -21,6 +21,7 @@ from uso_kit import (
     is_uso_naive,
     klee_minty,
 )
+from uso_kit import recognition
 from uso_kit.recognition import _face_failures, _puso_rows
 
 from conftest import (
@@ -90,11 +91,29 @@ def test_fast_check_uses_exact_budget():
 
 
 def test_fast_budget_holds_on_failures_too():
-    # the fast check never short-circuits, by design
+    # the budget stays 3**n - 2**n though the scan stops early
     for values in (TWIN_PEAK, CYCLE, (0, 0, 2, 3)):
         counter = PairEvalCounter()
         assert not is_uso_fast(Outmap(2, values), counter)
         assert counter.count == 3**2 - 2**2
+
+
+def test_fast_check_on_a_bad_edge_reads_only_the_edge_slice(monkeypatch):
+    """One scan: an inconsistent edge stops it after the edges, at the full charge."""
+    values = list(klee_minty(12).values)
+    values[0b101] ^= 1 << 3  # the edge at vertex 0b101 along coordinate 4 now fails
+    calls = []
+    kernel = recognition._face_failures
+
+    def spy(vals, n, start=0, stop=None):
+        calls.append((start, stop))
+        return kernel(vals, n, start, stop)
+
+    monkeypatch.setattr(recognition, "_face_failures", spy)
+    counter = PairEvalCounter()
+    assert not is_uso_fast(Outmap(12, tuple(values)), counter)
+    assert calls == [(0, 12 << 11)]
+    assert counter.count == 3**12 - 2**12
 
 
 def test_naive_scans_all_pairs_on_usos():
