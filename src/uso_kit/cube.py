@@ -44,11 +44,11 @@ def full_mask(n: int) -> int:
 
 
 def mask_from_coords(coords) -> int:
-    """Mask for an iterable of coordinate numbers (each >= 1)."""
+    """Mask for an iterable of coordinate numbers (each within 1..MAX_DIM)."""
     mask = 0
     for i in coords:
-        if i < 1:
-            raise ValueError(f"coordinates are numbered from 1, got {i}")
+        if not 1 <= i <= MAX_DIM:
+            raise ValueError(f"coordinates are numbered 1..{MAX_DIM}, got {i}")
         mask |= 1 << (i - 1)
     return mask
 

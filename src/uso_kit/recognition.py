@@ -14,8 +14,9 @@ All face scans read one cached schedule, cube.face_schedule: the lower and
 upper vertex of every face as two arrays, faces ordered by dimension.  One
 numpy kernel, _face_failures, evaluates a slice of it in one gather-XOR-AND
 for one outmap or, for enumeration's batch class lists, a (k, 2**n) matrix
-of outmaps.  A single outmap has one scan, _first_failing_face, one
-dimension at a time, so its first failing face has minimal dimension;
+of outmaps.  A single outmap has one scan, _first_failing_face, in
+slices of n * 2**(n-1) faces, the number of edges; by the schedule's
+dimension order its first failing face has minimal dimension;
 is_orientation reads the edge slice through it, _report turns that face
 into the verdict of classify and is_uso_naive, and is_uso_fast and is_puso
 read the verdict classify stored (_has_verdict).  The pair-evaluation
@@ -27,8 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import accumulate
-from math import comb
 
 import numpy as np
 
@@ -87,30 +86,27 @@ def _puso_rows(fails: np.ndarray, n: int) -> np.ndarray:
     return fails[..., -1] & ~fails[..., :-1].any(axis=-1)
 
 
-def _dim_starts(n: int) -> list[int]:
-    """Offsets in face_schedule(n) where each dimension 1..n begins, then the total."""
-    return list(accumulate((comb(n, dim) << (n - dim) for dim in range(1, n + 1)), initial=0))
-
-
-def _first_failing_face(phi: Outmap, top: int | None = None) -> tuple[int, FaceSpec | None]:
-    """Scan faces of dimension 1..top (default n) by dimension, faces_iter order within one.
+def _first_failing_face(phi: Outmap, stop: int | None = None) -> tuple[int, FaceSpec | None]:
+    """Scan faces 0..stop of face_schedule(n) (default: all), in slices of n * 2**(n-1) faces.
 
     Returns (evaluations performed, first face whose antipodal pair fails).
-    Because the scan stops at the minimal failing dimension and all smaller
-    faces succeeded, that face's induced orientation is a PUSO when its
-    dimension is >= 2, and an inconsistent edge when it is 1.  Each
-    dimension is one vectorized step, so a scan that fails on an edge never
-    reads the larger faces.
+    The schedule is ordered by dimension, so wherever a slice ends that face
+    has minimal dimension and all smaller faces succeeded: its induced
+    orientation is a PUSO when its dimension is >= 2, and an inconsistent
+    edge when it is 1.  The first slice is the edges, so a scan that fails
+    on an edge never reads the larger faces.
     """
+    n = phi.n
     vals = _values(phi)
-    starts = _dim_starts(phi.n)[: (phi.n if top is None else top) + 1]
-    for start, stop in zip(starts, starts[1:]):
-        fails = _face_failures(vals, phi.n, start, stop)
+    lowers, uppers = face_schedule(n)
+    stop = len(lowers) if stop is None else stop
+    step = max(1, n << n >> 1)
+    for start in range(0, stop, step):
+        fails = _face_failures(vals, n, start, min(start + step, stop))
         if fails.any():
             f = start + int(fails.argmax())
-            lowers, uppers = face_schedule(phi.n)
             return f + 1, FaceSpec(int(lowers[f]), int(uppers[f]))
-    return starts[-1], None
+    return stop, None
 
 
 def _report(phi: Outmap, used: int, face: FaceSpec | None, witness) -> ClassificationReport:
@@ -126,11 +122,12 @@ def _report(phi: Outmap, used: int, face: FaceSpec | None, witness) -> Classific
 def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
     """Consistency check: each edge is outgoing at exactly one endpoint.
 
-    Scans dimension-1 faces in faces_iter order (coordinate-major).
+    Scans the edges, the first n * 2**(n-1) faces of the schedule, in
+    faces_iter order (coordinate-major): one slice of the face scan.
     Returns (True, None), or (False, (V, i)) with the lower endpoint and
     coordinate of the first inconsistent edge.
     """
-    used, face = _first_failing_face(phi, 1)
+    used, face = _first_failing_face(phi, phi.n << phi.n >> 1)
     if counter is not None:
         counter.count += used
     if face is None:
@@ -185,8 +182,8 @@ def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
     """True iff the antipodal pair of every face with dim >= 1 succeeds.
 
     Reads classify's verdict through _has_verdict.  The counter is charged
-    exactly 3**n - 2**n pair evaluations (one per face) on every input,
-    though classify's scan stops at the first failing dimension.
+    exactly 3**n - 2**n pair evaluations (one per face) on every input, though
+    classify's scan stops after the slice holding the first failing face.
     """
     return _has_verdict(phi, Verdict.USO, counter)
 

@@ -271,6 +271,23 @@ def test_gen_flip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "coords, text",
+    [
+        ("99999999999999999999999", "coordinates are numbered 1..20, got 99999999999999999999999"),
+        ("100000000", "coordinates are numbered 1..20, got 100000000"),
+        ("4", "flip set 0b1000 uses coordinates beyond 1..3"),
+    ],
+    ids=["huge", "past-max-dim", "off-the-3-cube"],
+)
+def test_gen_flip_refuses_coordinates_off_the_cube_in_one_line(tmp_path, capsys, coords, text):
+    """A coordinate past MAX_DIM is refused before a mask of that many bits is built."""
+    path = write_uso(tmp_path, "km3.uso", KM_3)
+    code, out, err = run(capsys, "gen", "flip", path, "--coords", coords)
+    assert (code, out, err) == (2, "", f"error: {text}\n")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
     "argv, code, text",
     [
         (("km", "--n", "21"), 3, "dimension 21 exceeds"),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from uso_kit import (
     FaceSpec,
     FormatError,
+    MAX_DIM,
     Outmap,
     coords_from_mask,
     cyclic_puso,
@@ -51,6 +52,14 @@ def test_mask_round_trip():
         mask_from_coords((0,))
     with pytest.raises(ValueError, match="nonnegative"):
         coords_from_mask(-1)
+
+
+def test_mask_from_coords_refuses_coordinates_past_max_dim():
+    assert mask_from_coords((MAX_DIM,)) == 1 << (MAX_DIM - 1)
+    with pytest.raises(ValueError, match="numbered 1..20, got 21"):
+        mask_from_coords((MAX_DIM + 1,))
+    with pytest.raises(ValueError):
+        mask_from_coords((10**23,))
 
 
 @given(st.integers(0, 5).flatmap(lambda n: st.sets(st.integers(1, max(n, 1)))))

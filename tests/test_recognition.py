@@ -22,6 +22,8 @@ from uso_kit import (
     klee_minty,
 )
 from uso_kit import recognition
+from uso_kit.cube import face_schedule
+from uso_kit.enumeration import _orientation_values
 from uso_kit.recognition import _face_failures, _puso_rows
 
 from conftest import (
@@ -114,6 +116,29 @@ def test_fast_check_on_a_bad_edge_reads_only_the_edge_slice(monkeypatch):
     assert not is_uso_fast(Outmap(12, tuple(values)), counter)
     assert calls == [(0, 12 << 11)]
     assert counter.count == 3**12 - 2**12
+
+
+@pytest.mark.parametrize("n", [3, 4, 12])
+def test_face_scan_cuts_the_schedule_into_slices_of_one_edge_count(monkeypatch, n):
+    """One cut rule: slices of n * 2**(n-1) faces, so is_orientation reads exactly the first."""
+    edges, total = n << n >> 1, 3**n - 2**n
+    calls = []
+    kernel = recognition._face_failures
+
+    def spy(vals, n, start=0, stop=None):
+        calls.append((start, stop))
+        return kernel(vals, n, start, stop)
+
+    monkeypatch.setattr(recognition, "_face_failures", spy)
+    counter = PairEvalCounter()
+    assert is_uso_fast(klee_minty(n), counter)
+    assert calls == [(s, min(s + edges, total)) for s in range(0, total, edges)]
+    assert counter.count == total
+    calls.clear()
+    counter = PairEvalCounter()
+    assert is_orientation(klee_minty(n), counter) == (True, None)
+    assert calls == [(0, edges)]
+    assert counter.count == edges
 
 
 def test_naive_scans_all_pairs_on_usos():
@@ -210,6 +235,68 @@ def test_recognizers_agree_on_the_first_failing_face():
     assert _assert_recognizers_agree(other) is Verdict.OTHER
     assert classify(other).puso_face == FaceSpec(0, 0b11)
     assert verdicts == set(Verdict)
+
+
+def _first_failing_faces(batch, n):
+    """The oracle: one whole-schedule kernel call, the first failing face of each row or None."""
+    fails = _face_failures(np.asarray(batch), n)
+    return [int(row.argmax()) if row.any() else None for row in fails]
+
+
+def _assert_classify_reads_the_oracle_face(phi, f):
+    lowers, uppers = face_schedule(phi.n)
+    report = classify(phi)
+    if f is None:
+        assert report.verdict is Verdict.USO
+        assert report.pair_evals_used == 3**phi.n - 2**phi.n
+        return
+    face = FaceSpec(int(lowers[f]), int(uppers[f]))
+    assert report.witness == (face.lower, face.upper)
+    assert report.puso_face == (None if face.dim == 1 else face)
+    assert report.pair_evals_used == f + 1
+
+
+def _with_two_cycle(phi, rng):
+    """phi with one random 2-face's carrier bits replaced by a 2-cycle, which stays an orientation."""
+    a, b = (1 << i for i in rng.sample(range(phi.n), 2))
+    v = rng.getrandbits(phi.n) & ~(a | b)
+    values = list(phi.values)
+    for u, out in ((v, a), (v | a, b), (v | a | b, a), (v | b, b)):
+        values[u] = values[u] & ~(a | b) | out
+    return Outmap(phi.n, tuple(values))
+
+
+def test_face_scan_agrees_with_the_whole_schedule_oracle():
+    """classify's sliced scan stops at the first failing face of one whole-schedule call."""
+    vals = _orientation_values(3)
+    for row, f in zip(vals, _first_failing_faces(vals, 3)):
+        _assert_classify_reads_the_oracle_face(Outmap(3, tuple(row.tolist())), f)
+
+    rng = random.Random(2601)
+    batch = [random_outmap(4, rng) for _ in range(200)]
+    for base in (klee_minty(4), cyclic_puso(4)):
+        for _ in range(100):
+            phi = flip(base, rng.getrandbits(4))
+            batch += [phi, _with_two_cycle(phi, rng)]
+    firsts = _first_failing_faces([phi.values for phi in batch], 4)
+    for phi, f in zip(batch, firsts):
+        _assert_classify_reads_the_oracle_face(phi, f)
+    # the 4-cube's slices are faces 0..31, 32..63 and 64, the whole cube
+    assert {None, 64} <= set(firsts)
+    assert any(f < 32 for f in firsts if f is not None)
+    assert any(32 <= f < 64 for f in firsts if f is not None)
+
+    for n in (10, 12):
+        firsts = []
+        for base in (klee_minty(n), cyclic_puso(n)):
+            for _ in range(3):
+                phi = flip(base, rng.getrandbits(n))
+                for psi in (phi, _with_two_cycle(phi, rng)):
+                    firsts += _first_failing_faces([psi.values], n)
+                    _assert_classify_reads_the_oracle_face(psi, firsts[-1])
+        assert {None, 3**n - 2**n - 1} <= set(firsts)
+        # a 2-cycle fails past the first non-edge slice, before the whole cube
+        assert any(2 * (n << n >> 1) <= f < 3**n - 2**n - 1 for f in firsts if f is not None)
 
 
 @st.composite
