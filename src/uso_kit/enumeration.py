@@ -45,9 +45,9 @@ lexicographically smallest .uso body over the orbit.  One batch numpy
 canonicalizer (_canonical_keys) works in two exact stages: it gathers body
 positions 0 and 1 under every symmetry and keeps each symmetry whose pair
 is the row's minimum (a body that starts larger cannot be the minimum),
-then packs only the kept bodies into uint64 words that compare like the
-bodies and keeps the minimum.  Canonical forms, orbit representatives and
-the counting orbits all use it.
+then reads the kept bodies' bytes as big-endian words, which compare like
+the bodies, and keeps the minimum.  Canonical forms, orbit representatives
+and the counting orbits all use it.
 """
 
 from __future__ import annotations
@@ -355,15 +355,19 @@ def _coloring_keys(rows: np.ndarray, m: int, colorings) -> np.ndarray:
 
     Bit v of coloring g colors facet vertex v (1 = its connecting edge points
     up).  Bit f of a key is g's color of face f's sink; coloring j adds j above
-    the face bits, so g joins two facets into a USO iff it keys them alike.
+    the face bits, so g joins two facets into a USO iff it keys them alike.  Keys
+    wider than 63 bits (m = 4 has 65 face bits) raise ResourceLimitError.
     """
+    colorings = np.asarray(colorings)
+    if rows.shape[1] + (len(colorings) - 1).bit_length() > 63:
+        raise ResourceLimitError(f"coloring keys of dimension {m} overflow int64")
     verts = np.arange(1 << m, dtype=np.uint8)
     # bit f of masks[i, v] says face f of facet i sinks at v (filled face by face: no
     # 3-d temporary), so g keys facet i by the sum of masks[i] over its 1-vertices
     masks = np.zeros((len(rows), len(verts)), dtype=np.int64)
     for f in range(rows.shape[1]):
         masks |= (rows[:, f, None] == verts) << f
-    bits = np.asarray(colorings)[:, None] >> verts & 1
+    bits = colorings[:, None] >> verts & 1
     keys = masks @ bits.T
     keys += np.arange(len(bits)) << rows.shape[1]  # one key range per coloring
     return keys
@@ -522,54 +526,34 @@ def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return keyed, source, np.ascontiguousarray(source[:, :2])
 
 
-@lru_cache(maxsize=None)
-def _key_layout(n: int) -> tuple[int, int, np.ndarray]:
-    """Bits per body position, positions per uint64 key word, and each position's shift.
-
-    n <= 4 packs 16 positions x 4 bits into one word; n = 5 packs 12 + 12 + 8
-    positions x 5 bits into three.  Position 0 is most significant and each
-    word's last position sits in its lowest bits, so keys compare like the
-    bodies they pack.
-    """
-    bits = 4 if n <= 4 else 5
-    per_word = 64 // bits
-    q = np.arange(1 << n)
-    last = np.minimum((q // per_word + 1) * per_word, 1 << n) - 1
-    shifts = ((last - q) * bits).astype(np.uint64)
-    shifts.flags.writeable = False
-    return bits, per_word, shifts
-
-
 _GATHER_BYTES = 1 << 20  # bound on each batch temporary, to keep peak memory flat
 _ORBIT_BATCH = 1024  # outmaps buffered per _canonical_keys call in orbit_representatives
 
 
 def _canonical_keys(vals: np.ndarray, n: int) -> np.ndarray:
-    """Packed minimal body over the symmetry orbit of every row of vals.
+    """Minimal body over the symmetry orbit of every row of vals, as key words.
 
-    vals is a (k, 2**n) array of outmap values; the result is (k, words)
-    uint64, rows ordered like the canonical bodies they encode.  Two exact
-    stages: the first gathers only body positions 0 and 1 under every
-    symmetry, as one uint16 head, and keeps each symmetry whose head equals
-    its row's minimum, since only those can reach the minimal body (at
-    most 60 per record on PUSO(5)); the second packs full keys for the
-    kept symmetries alone and takes each row's minimum with one lexsort
-    keyed by row.  Rows go in chunks and the kept symmetries in runs of
-    whole rows, so no temporary of either stage exceeds about _GATHER_BYTES,
-    even when every symmetry ties (an all-zero outmap).
+    vals is a (k, 2**n) array of outmap values; the result is (k, words) uint64,
+    the body's bytes as big-endian words (one for n <= 3, two at n = 4, four at
+    n = 5), which order like the bodies.  Two exact stages: the first gathers
+    only body positions 0 and 1 under every symmetry, as one uint16 head, and
+    keeps each symmetry whose head equals its row's minimum, since only those
+    can reach the minimal body (at most 60 per record on PUSO(5)); the second
+    gathers full bodies for the kept symmetries alone and takes each row's
+    minimum with one lexsort keyed by row.  Rows go in chunks and the kept
+    symmetries in runs of whole rows, so no temporary of either stage exceeds
+    about _GATHER_BYTES, even when every symmetry ties (an all-zero outmap).
     """
     keyed, source, lead = _symmetry_gather(n)
-    bits, per_word, shifts = _key_layout(n)
     group, size = source.shape
-    starts = np.arange(0, size, per_word)
-    out = np.empty((len(vals), len(starts)), dtype=np.uint64)
+    out = np.empty((len(vals), -(-size // 8)), dtype=np.uint64)
     step = max(1, _GATHER_BYTES // (2 * group))  # stage 1: two uint8 positions per symmetry
-    cap = _GATHER_BYTES // (8 * size)  # stage 2: a uint64 body per kept symmetry, >= group
+    cap = _GATHER_BYTES // max(size, 8)  # stage 2: a body or an int64 sort index per kept symmetry
     for lo in range(0, len(vals), step):
         flat = keyed[vals[lo : lo + step]].reshape(-1, group)
         pair = flat[:, lead]  # positions 0 and 1 (0 alone at n = 0, where -1 picks it again)
         head = pair[..., 0].astype(np.uint16)
-        head <<= bits
+        head <<= 8
         head |= pair[..., -1]
         rows, syms = np.nonzero(head == head.min(axis=1, keepdims=True))
         counts = np.bincount(rows, minlength=len(flat))
@@ -580,9 +564,9 @@ def _canonical_keys(vals: np.ndarray, n: int) -> np.ndarray:
             # rows a .. b - 1: as many whole rows of kept symmetries as fit in cap
             b = max(a + 1, int(np.searchsorted(ends, firsts[a] + cap, side="right")))
             i, j = firsts[a], ends[b - 1]
-            body = flat[rows[i:j, None], source[syms[i:j]]].astype(np.uint64)
-            body <<= shifts
-            words = np.bitwise_or.reduceat(body, starts, axis=1)
+            body = flat[rows[i:j, None], source[syms[i:j]]]
+            # big-endian words of the body's bytes compare like the body
+            words = np.ascontiguousarray(body).view(f">u{min(size, 8)}")
             order = np.lexsort((*words.T[::-1], rows[i:j]))
             out[lo + a : lo + b] = words[order[firsts[a:b] - i]]
             a = b
@@ -601,10 +585,8 @@ class CanonicalForm:
 
 
 def _form_from_key(key, n: int) -> CanonicalForm:
-    """Unpack one row of _canonical_keys into its .uso body."""
-    bits, per_word, shifts = _key_layout(n)
-    words = np.asarray(key, dtype=np.uint64)[np.arange(1 << n) // per_word]
-    codes = words >> shifts & np.uint64((1 << bits) - 1)
+    """The .uso body of one row of _canonical_keys: the last 2**n bytes of its big-endian words."""
+    codes = np.asarray(key, dtype=">u8").view(np.uint8)[-(1 << n) :]
     # position q holds rev[value], and bit reversal undoes itself: keyed[:, 0] is rev
     return CanonicalForm(n, _uso_body(_symmetry_gather(n)[0][codes, 0].tolist(), n).encode())
 

@@ -728,6 +728,13 @@ def test_successor_limits():
         count_odd_successor(5)
 
 
+def test_coloring_keys_refuse_keys_wider_than_int64():
+    """m = 4 has 65 face bits, so its keys would wrap in int64 without a warning."""
+    rows = enumeration._sink_rows(enumeration._odd_values(4)[:3], 4)
+    with pytest.raises(ResourceLimitError, match="overflow int64"):
+        enumeration._coloring_keys(rows, 4, np.array([0, 1, 65535]))
+
+
 def test_count_table_default_scope():
     table = count_table(4)
     assert table.max_n == 4
@@ -841,8 +848,7 @@ def _unpruned_keys(vals: np.ndarray, n: int) -> np.ndarray:
     the same uint64 key words as _canonical_keys, so no symmetry is skipped.
     """
     keyed, source, _ = enumeration._symmetry_gather(n)
-    bits = 4 if n <= 4 else 5
-    per_word = 64 // bits
+    bits = per_word = 8
     size = 1 << n
     out = np.empty((len(vals), -(-size // per_word)), dtype=np.uint64)
     # per row: the uint8 bodies take group * size bytes, each key word group * 8
@@ -871,6 +877,8 @@ def canonical_samples():
     """Outmaps of several classes and dimensions with their reference bodies."""
     rng = random.Random(0xCA11)
     samples = {
+        "orientations(0)": orientations(0),
+        "orientations(1)": orientations(1),
         "orientations(2)": orientations(2),
         "uso(3)": list(enumerate_usos(3)),
         "puso(3)": list(enumerate_pusos(3)),
