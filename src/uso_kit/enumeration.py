@@ -42,12 +42,12 @@ odd5 opt-in), in one process.  All streams and tables are deterministic.
 Orbits are taken under the vertex relabelings V -> sigma(V) XOR R (the
 2**n * n! cube symmetries, n <= 5); the canonical form of an outmap is the
 lexicographically smallest .uso body over the orbit.  One batch numpy
-canonicalizer (_canonical_keys) works in two exact stages: it gathers body
-positions 0 and 1 under every symmetry and keeps each symmetry whose pair
-is the row's minimum (a body that starts larger cannot be the minimum),
-then reads the kept bodies' bytes as big-endian words, which compare like
-the bodies, and keeps the minimum.  Canonical forms, orbit representatives
-and the counting orbits all use it.
+canonicalizer (_canonical_keys) works in two exact stages: it keeps each
+symmetry whose body positions 0 and 1 are the row's minimal pair (a body
+that starts larger cannot be the minimum), then reads the kept bodies'
+bytes as big-endian words, which compare like the bodies, and keeps the
+minimum.  Canonical forms, orbit representatives and the counting orbits
+all use it.
 """
 
 from __future__ import annotations
@@ -505,11 +505,10 @@ def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gather tables of all 2**n * n! relabelings V -> sigma(V) XOR R.
 
     keyed[x, p] is rev[sigma_p(x)], a value keyed so that numeric order
-    matches .uso line order.  source[g, q] says where position q of the
-    body relabeled by symmetry g = (sigma_p, R) reads from: vertex
-    sigma_p^-1(q XOR R) under permutation p, as a flat index into the
-    (2**n, n!) array keyed[values].  lead is a contiguous copy of source's
-    first two columns (one at n = 0), which a single record gathers faster.
+    matches .uso line order.  source[g, q] says where position q of the body
+    relabeled by symmetry g = x * n! + p = (sigma_p, sigma_p(x)) reads from:
+    vertex sigma_p^-1(q) XOR x under p, as a flat index into the (2**n, n!)
+    array keyed[values].  So source[g, 0] = g; second is source[:, 1] (:, 0 at n = 0).
     """
     # tables[p, mask] is the image of the coordinate set mask under permutation p
     images = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
@@ -518,12 +517,10 @@ def _symmetry_gather(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     perms, size = tables.shape
     # the last permutation, i -> n - 1 - i, reverses bits: mask order <-> .uso line order
     keyed = tables[-1].astype(np.uint8)[tables.T]
-    inverse = np.argsort(tables, axis=1)
-    offsets = np.arange(size)
-    source = inverse[:, offsets[:, None] ^ offsets[None, :]] * perms
-    source += np.arange(perms)[:, None, None]
-    source = source.reshape(perms * size, size)
-    return keyed, source, np.ascontiguousarray(source[:, :2])
+    # sigma_p^-1 is linear over XOR: sigma_p^-1(q XOR R) = sigma_p^-1(q) XOR x
+    source = (np.argsort(tables, axis=1) ^ np.arange(size)[:, None, None]) * perms
+    source = (source + np.arange(perms)[:, None]).reshape(size * perms, size)
+    return keyed, source, np.ascontiguousarray(source[:, min(1, size - 1)])
 
 
 _GATHER_BYTES = 1 << 20  # bound on each batch temporary, to keep peak memory flat
@@ -535,27 +532,29 @@ def _canonical_keys(vals: np.ndarray, n: int) -> np.ndarray:
 
     vals is a (k, 2**n) array of outmap values; the result is (k, words) uint64,
     the body's bytes as big-endian words (one for n <= 3, two at n = 4, four at
-    n = 5), which order like the bodies.  Two exact stages: the first gathers
-    only body positions 0 and 1 under every symmetry, as one uint16 head, and
-    keeps each symmetry whose head equals its row's minimum, since only those
-    can reach the minimal body (at most 60 per record on PUSO(5)); the second
-    gathers full bodies for the kept symmetries alone and takes each row's
-    minimum with one lexsort keyed by row.  Rows go in chunks and the kept
-    symmetries in runs of whole rows, so no temporary of either stage exceeds
-    about _GATHER_BYTES, even when every symmetry ties (an all-zero outmap).
+    n = 5), which order like the bodies.  Two exact stages: the first keeps each
+    symmetry whose body positions 0 and 1 are its row's minimal pair, since only
+    those can reach the minimal body (at most 60 per record on PUSO(5)): column g
+    of keyed[vals] is position 0 of symmetry g, and position 1 is gathered for
+    the row minimum's columns alone.  The second gathers full bodies for the kept
+    symmetries and takes each row's minimum with one lexsort keyed by row.  Rows
+    go in chunks and the kept symmetries in runs of whole rows, sized by their
+    intp indices, so no temporary exceeds about _GATHER_BYTES, even in a tie.
     """
-    keyed, source, lead = _symmetry_gather(n)
+    keyed, source, second = _symmetry_gather(n)
     group, size = source.shape
     out = np.empty((len(vals), -(-size // 8)), dtype=np.uint64)
-    step = max(1, _GATHER_BYTES // (2 * group))  # stage 1: two uint8 positions per symmetry
-    cap = _GATHER_BYTES // max(size, 8)  # stage 2: a body or an int64 sort index per kept symmetry
+    step = max(1, _GATHER_BYTES // (8 * group))
+    cap = _GATHER_BYTES // (8 * size)
     for lo in range(0, len(vals), step):
         flat = keyed[vals[lo : lo + step]].reshape(-1, group)
-        pair = flat[:, lead]  # positions 0 and 1 (0 alone at n = 0, where -1 picks it again)
-        head = pair[..., 0].astype(np.uint16)
-        head <<= 8
-        head |= pair[..., -1]
-        rows, syms = np.nonzero(head == head.min(axis=1, keepdims=True))
+        at = np.flatnonzero(flat == flat.min(axis=1, keepdims=True))
+        rows, syms = np.divmod(at, group)
+        at += second[syms] - syms  # each candidate's position 1, in its row
+        pair = np.take(flat, at)
+        counts = np.bincount(rows, minlength=len(flat))
+        keep = pair == np.repeat(np.minimum.reduceat(pair, np.cumsum(counts) - counts), counts)
+        rows, syms = rows[keep], syms[keep]
         counts = np.bincount(rows, minlength=len(flat))
         ends = np.cumsum(counts)
         firsts = ends - counts
@@ -564,9 +563,10 @@ def _canonical_keys(vals: np.ndarray, n: int) -> np.ndarray:
             # rows a .. b - 1: as many whole rows of kept symmetries as fit in cap
             b = max(a + 1, int(np.searchsorted(ends, firsts[a] + cap, side="right")))
             i, j = firsts[a], ends[b - 1]
-            body = flat[rows[i:j, None], source[syms[i:j]]]
+            at = source[syms[i:j]]
+            at += rows[i:j, None] * group
             # big-endian words of the body's bytes compare like the body
-            words = np.ascontiguousarray(body).view(f">u{min(size, 8)}")
+            words = np.take(flat, at).view(f">u{min(size, 8)}")
             order = np.lexsort((*words.T[::-1], rows[i:j]))
             out[lo + a : lo + b] = words[order[firsts[a:b] - i]]
             a = b

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -907,7 +908,8 @@ def test_orbit_representatives_match_scalar_oracle(canonical_samples):
 
 @st.composite
 def _outmap_blocks(draw):
-    """A dimension n <= 5 and a block of value rows: random, constant or all zero."""
+    """A dimension n <= 5 and a block of value rows: random, constant, all zero or
+    two-valued, {0, v}, which ties widely at position 0 and parts at position 1 or later."""
     n = draw(st.integers(0, 5))
     size = 1 << n
     value = st.integers(0, size - 1)
@@ -915,6 +917,9 @@ def _outmap_blocks(draw):
         st.lists(value, min_size=size, max_size=size),
         value.map(lambda v: [v] * size),
         st.just([0] * size),
+        st.tuples(value, st.lists(st.booleans(), min_size=size, max_size=size)).map(
+            lambda pick: [pick[0] * bit for bit in pick[1]]
+        ),
     )
     return n, draw(st.lists(row, min_size=1, max_size=40))
 
@@ -939,6 +944,25 @@ def test_pruned_keys_match_unpruned_reference_beyond_one_chunk():
     vals = np.array(rows, dtype=np.uint8)
     assert len(vals) > enumeration._GATHER_BYTES // (2 * 3840)
     assert (enumeration._canonical_keys(vals, 5) == _unpruned_keys(vals, 5)).all()
+
+
+@pytest.mark.parametrize("case", ["all-zero 5-cubes", "odd(4)"])
+def test_canonical_keys_peak_memory_stays_near_the_gather_budget(case):
+    """Stage 1's candidate indices and stage 2's body indices are 8-byte intp
+    arrays; chunks and runs sized by them keep the peak flat, also when all
+    3840 symmetries tie on every row."""
+    if case == "odd(4)":
+        n, vals, limit = 4, np.asarray(enumeration._odd_values(4), dtype=np.uint8), 2e6
+    else:
+        n, vals, limit = 5, np.zeros((150, 32), dtype=np.uint8), 10e6
+    enumeration._canonical_keys(vals[:1], n)  # the cached symmetry tables are not counted
+    tracemalloc.start()
+    try:
+        enumeration._canonical_keys(vals, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, peak
 
 
 def _relabelings(values, n: int) -> np.ndarray:
