@@ -4,12 +4,12 @@ A border USO is one that can appear as a facet of a PUSO; a USO psi is
 border exactly when every vertex pair with psi(U) XOR psi(V) contained in
 U XOR V has |psi(U) XOR psi(V)| odd.  An odd USO is the mirror notion for
 the inverse outmap: every pair with U XOR V contained in phi(U) XOR phi(V)
-has |U XOR V| odd.  The two direct pair conditions differ only in which
-side must contain the other, so one containment scan decides both.  It
-broadcasts tiles of same-parity vertex pairs, with no index gathers, and
+has |U XOR V| odd.  The two direct pair conditions differ only in which side
+must contain the other, so one containment scan decides both.  It scans one
+parity class after the other in broadcast tiles, with no index gathers, and
 keeps the witness and pair count of a pair-by-pair scan; the test suite
-cross-checks it against the dual route (odd = dual is border), the cap
-route (odd = every face is a cap) and a pair-by-pair reference.
+cross-checks it against the dual route (odd = dual is border), the cap route
+(odd = every face is a cap) and a pair-by-pair reference.
 
 is_border, is_odd and puso_parity need a USO or a PUSO: they gate through
 is_uso_fast and is_puso, which read the verdict recognition.classify stored
@@ -21,7 +21,6 @@ Inverses and caps read the carrier key map of cube._carrier_keys.
 from __future__ import annotations
 
 import enum
-import heapq
 from functools import lru_cache
 
 import numpy as np
@@ -77,18 +76,6 @@ def dual(phi: Outmap) -> Outmap:
 _PAIR_BLOCK = 1 << 16
 
 
-def _class_tiles(members: np.ndarray, cls: int):
-    """Tiles (first row, cls, start, stop) of one parity class: rows
-    start..stop of members against members[start:], at most _PAIR_BLOCK
-    pairs each, the first a single row; the last member has no later pair.
-    """
-    start = 0
-    while start < len(members) - 1:
-        stop = start + max(1, _PAIR_BLOCK // (len(members) - start)) if start else 1
-        yield int(members[start]), cls, start, min(stop, len(members))
-        start = stop
-
-
 @lru_cache(maxsize=None)
 def _vertex_parity(n: int) -> np.ndarray:
     """Popcount parity of every vertex, read-only: parity[v + 2**k] = parity[v] ^ 1."""
@@ -103,29 +90,32 @@ def _first_failing_pair(p: np.ndarray, q: np.ndarray):
     """Lexicographically first failing pair (U, V), U < V, or None.
 
     The pair fails when p[U] and p[V] have equal parity and
-    (p[U] ^ p[V]) & (~q[U] ^ q[V]) == 0.  Each parity class is scanned in
-    broadcast tiles, and the tiles of both classes run merged by first row
-    until one starts past the best failing U.  p is a bijection, so a
-    tile's diagonal entries are its only trivial matches.
+    (p[U] ^ p[V]) & (~q[U] ^ q[V]) == 0.  Class 0 is scanned, then class 1,
+    each in broadcast tiles: the first a single row, each later one at most
+    _PAIR_BLOCK pairs.  A class stops at its first failing tile, or at a
+    tile whose first row lies past the best failing U so far; pairs of
+    different parity never fail, so the smaller pair is the answer.  p is a
+    bijection, so a tile's diagonal entries are its only trivial matches.
     """
     parity = _vertex_parity(len(p).bit_length() - 1)[p]
-    classes = [np.flatnonzero(parity == cls) for cls in (0, 1)]
-    sides = [(members, p[members], ~q[members], q[members]) for members in classes]
     best = None
-    tiles = heapq.merge(*(_class_tiles(members, cls) for cls, members in enumerate(classes)))
-    for first, cls, start, stop in tiles:
-        if best is not None and first > best[0]:
-            break
-        members, p_c, not_q, q_c = sides[cls]
-        tile = p_c[start:stop, None] ^ p_c[start:]
-        tile &= not_q[start:stop, None] ^ q_c[start:]
-        if np.count_nonzero(tile) < tile.size - (stop - start):
-            bad = tile == 0
-            bad[np.diag_indices(stop - start)] = False
-            # the first failing row's failures all lie right of the diagonal
-            rank, col = np.nonzero(bad)
-            pair = (int(members[start + rank[0]]), int(members[start + col[0]]))
-            best = pair if best is None else min(best, pair)
+    for cls in (0, 1):
+        members = np.flatnonzero(parity == cls)
+        p_c, not_q, q_c = p[members], ~q[members], q[members]
+        start = 0
+        while start < len(members) - 1 and (best is None or members[start] < best[0]):
+            stop = start + (max(1, _PAIR_BLOCK // (len(members) - start)) if start else 1)
+            tile = p_c[start:stop, None] ^ p_c[start:]
+            tile &= not_q[start:stop, None] ^ q_c[start:]
+            if np.count_nonzero(tile) < tile.size - len(tile):
+                bad = tile == 0
+                bad[np.diag_indices(len(tile))] = False
+                # the first failing row's failures all lie right of the diagonal
+                rank, col = np.nonzero(bad)
+                pair = (int(members[start + rank[0]]), int(members[start + col[0]]))
+                best = pair if best is None else min(best, pair)
+                break
+            start = stop
     return best
 
 

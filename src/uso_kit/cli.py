@@ -77,7 +77,7 @@ def _read_outmap(path: str) -> Outmap:
 def _parse_vertex(text: str, n: int) -> int:
     """Vertex bitstring in .uso line convention: char i-1 is coordinate i."""
     if len(text) != n or any(ch not in "01" for ch in text):
-        raise FormatError(f"vertex must be {n} characters over 0/1, got {text!r}")
+        raise ValueError(f"vertex must be {n} characters over 0/1, got {text!r}")
     return sum(1 << pos for pos, ch in enumerate(text) if ch == "1")
 
 

@@ -382,16 +382,16 @@ def _uso_body(values, n: int) -> str:
     """The .uso body of a sequence of int values: one newline-terminated line each.
 
     Up to n = 10 that is one itemgetter call on the line table (at n = 0, with one
-    index, itemgetter would return a bare line).  Above, where that table would hold
-    up to 2**20 lines, coordinate 1 comes first in a line, so value v renders as the
-    newline-free line of its low k = n // 2 coordinates and the line of its high n - k.
+    index, itemgetter would return a bare line).  Above, it is the parser's (2**n, n + 1)
+    byte matrix of digits and newlines, one column at a time: no 2**n-by-n temporary.
     """
     if n <= 10:
         return "".join(itemgetter(*values)(_line_table(n))) if n else "\n"
-    k = n // 2
-    mask = (1 << k) - 1
-    lo, hi = tuple(_line_values(k)), _line_table(n - k)
-    return "".join([lo[v & mask] + hi[v >> k] for v in values])
+    values = np.asarray(values, _vertex_dtype(n))
+    codes = np.full((len(values), n + 1), 10, np.uint8)
+    for i in range(n):
+        codes[:, i] = values >> i & 1 | 48
+    return codes.tobytes().decode()
 
 
 def emit_uso(phi: Outmap) -> str:

@@ -229,14 +229,14 @@ def test_containment_scan_matches_offset_gather_oracle(n):
         _assert_scans_match(phi, _offset_scan)
 
 
-# Two 4-cube USOs on which, with _PAIR_BLOCK = 64, the first tile to hold
-# a failing pair belongs to one parity class while the first failure lies
-# in a later tile of the other class: the scan must go on past a found
-# failure until a tile starts beyond its U.
+# Two 4-cube USOs on which, with _PAIR_BLOCK = 64, each parity class holds a
+# failing tile whose first row is at most the witness's U.  Class 0 is scanned first,
+# then class 1: a class's failure must not end the other class's scan, and the
+# smaller of the two failures is the witness.
 MERGE_CASES = [
-    # odd: tile {2, 4, 7, ...} holds (7, 11); the witness (3, 15) is in tile {3, 5, ...}
+    # odd: class 1's tile {2, 4, 7, ...} holds (7, 11); class 0's {3, 5, ...} the witness (3, 15)
     (Outmap(4, (14, 9, 4, 11, 0, 15, 10, 13, 7, 6, 12, 1, 8, 3, 2, 5)), True, (7, 11), (3, 15)),
-    # border: tile {2, 3, 6, ...} holds (6, 9); the witness (4, 10) is in tile {4, 5, ...}
+    # border: class 0's tile {2, 3, 6, ...} holds (6, 9); class 1's {4, 5, ...} the witness (4, 10)
     (Outmap(4, (10, 11, 9, 12, 13, 14, 15, 8, 0, 5, 7, 6, 4, 1, 3, 2)), False, (6, 9), (4, 10)),
 ]
 

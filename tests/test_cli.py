@@ -248,10 +248,12 @@ def test_gen_extend_and_complement(tmp_path, capsys):
 
 
 def test_gen_complement_bad_vertex(tmp_path, capsys):
+    # a malformed option value is a usage error (exit 2), as for gen flip --coords
     km_path = write_uso(tmp_path, "km.uso", KM_3)
-    code, _, err = run(capsys, "gen", "complement", km_path, "--vertex", "00")
-    assert code == 3
-    assert "vertex" in err
+    for vertex in ("00", "012"):
+        code, _, err = run(capsys, "gen", "complement", km_path, "--vertex", vertex)
+        assert code == 2
+        assert "vertex" in err
 
 
 def test_gen_family_and_codeword_listing(capsys):

@@ -315,7 +315,7 @@ def _emit_reference(phi: Outmap) -> str:
 @given(st.integers(0, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.25, 1.0]))
 @settings(max_examples=100, deadline=None)
 def test_emit_matches_per_line_reference(n, seed, ones):
-    """emit_uso's two-table lines against value_line, all-ones values included."""
+    """emit_uso's lines against value_line, all-ones values included."""
     rng = random.Random(seed)
     full = full_mask(n)
     values = tuple(full if rng.random() < ones else rng.getrandbits(n) for _ in range(1 << n))
@@ -323,9 +323,10 @@ def test_emit_matches_per_line_reference(n, seed, ones):
     assert emit_uso(phi) == _emit_reference(phi)
 
 
-@pytest.mark.parametrize("n", range(13))
+@pytest.mark.parametrize("n", [*range(13), 17])
 def test_emit_matches_per_line_reference_at_each_table_size(n):
-    """n = 0 (a one-index itemgetter), n = 1 and both sides of the n = 10 table limit."""
+    """n = 0 (a one-index itemgetter), n = 1, both sides of the n = 10 table limit,
+    and n = 17, the first uint32 values."""
     size = 1 << n
     rng = random.Random(n)
     records = [(0,) * size, (full_mask(n),) * size, tuple(rng.getrandbits(n) for _ in range(size))]
