@@ -192,36 +192,34 @@ def complementary_pairs(phi: Outmap, face: FaceSpec | None = None) -> tuple[tupl
     return tuple(zip(verts[keep].tolist(), partners[keep].tolist()))
 
 
-def _caps(phi: Outmap, face: FaceSpec) -> np.ndarray:
-    """Whether each face parallel to `face` is a cap, indexed by its lower vertex
-    (other entries True; a vertex reads False).  A face fails where two of its
-    vertices share a key, or where its vertices keyed k and k ^ c are at even distance.
-    """
-    keys = _carrier_keys(phi, face)
-    verts = np.arange(1 << phi.n, dtype=keys.dtype)
-    inverse = np.zeros_like(keys)
-    inverse[keys] = verts
-    parity = _vertex_parity(phi.n)[inverse]
-    bad = (inverse[keys] != verts) | (parity == parity[verts ^ face.carrier])
-    caps = np.ones(1 << phi.n, dtype=bool)
-    caps[verts[bad] & (full_mask(phi.n) ^ face.carrier)] = False
-    return caps
-
-
 def is_cap(phi: Outmap, face: FaceSpec | None = None) -> bool:
-    """True iff the face's induced outmap is bijective with every complementary
-    pair at odd Hamming distance.  Vertices (dimension 0) are trivially caps;
-    a non-bijective induced outmap yields False, not an error.
+    """True iff the face's induced outmap is bijective and every face vertex lies at
+    odd Hamming distance from its complementary vertex.  Vertices (dimension 0) are
+    trivially caps; a non-bijective induced outmap yields False, not an error.
     """
     if face is None:
         face = phi.whole_face()
-    # _caps checks that the face fits, a vertex included, and reads False at a vertex
-    return bool(_caps(phi, face)[face.lower]) or face.carrier == 0
+    try:
+        verts, inverse = _face_inverse(phi, face)  # it checks that the face fits
+    except NotBijectiveError:
+        return False
+    partners = inverse[_values(phi)[verts] & face.carrier ^ face.carrier]
+    return face.carrier == 0 or bool(_vertex_parity(phi.n)[verts ^ partners].all())
 
 
 def all_faces_caps(phi: Outmap) -> bool:
-    """True iff every one of the 3**n faces is a cap (equivalent to odd for USOs)."""
-    return all(_caps(phi, FaceSpec(0, c)).all() for c in range(1, 1 << phi.n))
+    """True iff every one of the 3**n faces is a cap (equivalent to odd for USOs): for each
+    carrier c, no two vertices share a key and those keyed k and k ^ c are at odd distance.
+    """
+    verts = np.arange(1 << phi.n, dtype=_vertex_dtype(phi.n))
+    parity = _vertex_parity(phi.n)
+    for c in range(1, 1 << phi.n):
+        keys = _carrier_keys(phi, FaceSpec(0, c))
+        inverse = np.zeros_like(keys)
+        inverse[keys] = verts  # the vertex keyed k, unless a later one shares k
+        if (inverse[keys] != verts).any() or not parity[inverse ^ inverse[verts ^ c]].all():
+            return False
+    return True
 
 
 def puso_parity(phi: Outmap, counter: PairEvalCounter | None = None) -> Parity:

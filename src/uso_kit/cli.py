@@ -26,6 +26,7 @@ from . import __version__
 from .classes import dual, is_border, is_odd, puso_parity
 from .constructions import (
     CyclicPermutation,
+    _check_dimension,
     complement_vertex,
     cyclic_puso,
     extend_border,
@@ -35,6 +36,7 @@ from .constructions import (
     odd_family,
 )
 from .cube import (
+    MAX_DIM,
     Outmap,
     emit_uso,
     face_sinks,
@@ -153,7 +155,10 @@ def _cmd_gen_cyclic(args) -> int:
 
 
 def _cmd_gen_extend(args) -> int:
-    return _emit(extend_border(_read_outmap(args.file), args.bit))
+    text = _read_text(args.file)
+    if text.partition("\n")[0].strip() == str(MAX_DIM):  # refused before the body is parsed
+        _check_dimension(MAX_DIM + 1)
+    return _emit(extend_border(parse_uso(text), args.bit))
 
 
 def _cmd_gen_complement(args) -> int:

@@ -26,8 +26,8 @@ enumeration's symmetry gather, which relabels outmaps to canonical form.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
-from functools import lru_cache, reduce
-from operator import index, itemgetter, or_
+from functools import lru_cache
+from operator import index, itemgetter
 from typing import Iterator
 
 import numpy as np
@@ -171,8 +171,9 @@ def _vertex_dtype(n: int):
 class Outmap:
     """Dense outmap of the standard n-cube: values[v] = outgoing set of vertex v.
 
-    values may be any iterable of ints (a list, a numpy array); it is stored
-    as a tuple, which an integer numpy array gives with one tolist().  Values
+    values may be any iterable of integers (a tuple, a list, a numpy array); it
+    is stored as a tuple of Python ints, which an integer numpy array gives
+    with one tolist() and anything else through operator.index.  Values
     are checked once, where they enter: code that built the tuple of 2**n
     n-bit Python ints itself may pass the keyword _checked=True to skip the
     checks.  Only the .uso parser (rows decoded from 0/1 digits), enumeration's
@@ -195,7 +196,7 @@ class Outmap:
             return
         if isinstance(self.values, np.ndarray) and self.values.dtype.kind in "iu":
             object.__setattr__(self, "values", tuple(self.values.tolist()))
-        elif type(self.values) is not tuple:  # index() refuses bool and float arrays
+        else:  # index() refuses floats and numpy bools, and turns bools into 0 and 1
             object.__setattr__(self, "values", tuple(map(index, self.values)))
         if not 0 <= self.n <= MAX_DIM:
             raise ValueError(f"dimension must be within 0..{MAX_DIM}")
@@ -204,14 +205,9 @@ class Outmap:
                 f"outmap for dimension {self.n} needs {1 << self.n} values, got {len(self.values)}"
             )
         full = full_mask(self.n)
-        try:
-            bad = min(self.values) < 0 or reduce(or_, self.values) & ~full
-        except TypeError:
-            bad = True
-        if bad:
-            # name the first bad vertex; a non-integer value raises TypeError here
-            for v, value in enumerate(self.values):
-                if value < 0 or value & ~full:
+        if min(self.values) < 0 or max(self.values) > full:
+            for v, value in enumerate(self.values):  # name the first bad vertex
+                if not 0 <= value <= full:
                     raise ValueError(
                         f"value {value:#b} at vertex {v} uses coordinates beyond 1..{self.n}"
                     )

@@ -611,17 +611,18 @@ def test_numpy_inverse_matches_the_per_vertex_loop():
 
 
 # ---------------------------------------------------------------------------
-# the carrier-key cap check against the per-face check it replaced
+# the cap checks against a per-vertex check
 
 
 def _cap_oracle(phi, face):
-    """One face at a time: its complementary pairs, a collision meaning no cap."""
+    """One face at a time: the dict inverse and its pairs, a collision meaning no cap."""
     if face.carrier == 0:
         return True
     try:
-        pairs = complementary_pairs(phi, face)
+        inverse = _inverse_oracle(phi, face)
     except NotBijectiveError:
         return False
+    pairs = _pairs_oracle(inverse, face.carrier)
     return all((w ^ partner).bit_count() & 1 for w, partner in pairs)
 
 

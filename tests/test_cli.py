@@ -20,20 +20,28 @@ from hypothesis import strategies as st
 import uso_kit
 from uso_kit import (
     CyclicPermutation,
+    FaceSpec,
     FormatError,
     Outmap,
+    ResourceLimitError,
     canonical_form,
+    complementary_vertex,
     count_table,
     cyclic_puso,
     dual,
     emit_uso,
+    enumerate_pusos,
+    extend_border,
     flip,
+    induced_outmap,
+    is_complementable,
     is_odd,
     is_puso,
     klee_minty,
     odd_family,
     orbit_representatives,
     parse_uso,
+    random_odd,
     random_puso,
     random_uso,
 )
@@ -245,6 +253,14 @@ def test_gen_extend_and_complement(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "complement", km_path, "--vertex", "000")
     assert code == 0
     assert parse_uso(out).values == (7, 0, 1, 2, 3, 6, 4, 5)
+
+
+def test_gen_extend_refuses_a_20_cube_from_its_header_line(capsys, monkeypatch):
+    """The header decides the 21-dimensional result: the malformed body is never parsed."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("20\n0\n"))
+    code, out, err = run(capsys, "gen", "extend", "-", "--bit", "0")
+    assert (code, out) == (3, "")
+    assert "dimension 21 exceeds the cap of 20" in err
 
 
 def test_gen_complement_bad_vertex(tmp_path, capsys):
@@ -703,3 +719,42 @@ def test_all_lists_exactly_the_public_names():
     }
     assert set(uso_kit.__all__) == bound
     assert len(uso_kit.__all__) == len(bound)
+
+
+# ---------------------------------------------------------------------------
+# refusals that no other test reaches
+
+
+@pytest.mark.parametrize(
+    "call, error, text",
+    [
+        (lambda: complementary_vertex(klee_minty(3), 4, FaceSpec(0, 3)), ValueError,
+         "vertex 0b100 lies outside the face"),
+        (lambda: cyclic_puso(4, CyclicPermutation.shift(3)), ValueError,
+         "cycle length 3 does not match dimension 4"),
+        (lambda: extend_border(klee_minty(2), 2), ValueError, "bit must be 0 or 1"),
+        (lambda: is_complementable(klee_minty(2), 4), ValueError,
+         "vertex 0b100 lies outside the cube"),
+        (lambda: induced_outmap(klee_minty(2), FaceSpec(0, 4)), ValueError,
+         "face does not fit inside the cube"),
+        (lambda: list(enumerate_pusos(4)), ResourceLimitError,
+         "exhaustive PUSO enumeration is capped at n = 3"),
+        (lambda: random_odd(5, random.Random(0)), ResourceLimitError,
+         "odd USO lists are materialized up to n = 4 only"),
+        (lambda: random_uso(5, random.Random(0)), ResourceLimitError,
+         "random USOs are supported for n <= 4"),
+        (lambda: sys.exit(main(["orbits", "--class", "uso"])), SystemExit, "--class needs --n"),
+    ],
+    ids=[
+        "complementary_vertex", "cyclic_puso", "extend_border", "is_complementable",
+        "induced_outmap", "enumerate_pusos", "random_odd", "random_uso", "orbits",
+    ],
+)
+def test_refusals_name_their_type_and_reason(capsys, call, error, text):
+    """The CLI case is a usage error: exit 2, its reason on stderr."""
+    with pytest.raises(error) as got:
+        call()
+    if error is SystemExit:
+        assert got.value.code == 2 and text in capsys.readouterr().err
+    else:
+        assert str(got.value) == text

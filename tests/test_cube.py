@@ -167,13 +167,25 @@ def test_outmap_refuses_non_integer_values():
     + [
         lambda values, dtype=dtype: np.array(values, dtype=dtype)
         for dtype in (np.uint16, np.int8, np.int64, np.uint32, np.uint64, object)
+    ]
+    + [
+        lambda values, dtype=dtype: tuple(np.array(values, dtype=dtype))
+        for dtype in (np.uint16, np.int64)
     ],
-    ids=["list", "uint16", "int8", "int64", "uint32", "uint64", "object"],
+    ids=[
+        "list", "uint16", "int8", "int64", "uint32", "uint64", "object",
+        "tuple-uint16", "tuple-int64",
+    ],
 )
 def test_outmap_stores_list_and_array_values_as_a_tuple_of_ints(convert):
     phi, twin = Outmap(2, convert(BOW)), Outmap(2, BOW)
     assert type(phi.values) is tuple and {type(v) for v in phi.values} == {int}
     assert phi == twin and hash(phi) == hash(twin) and repr(phi) == repr(twin)
+
+
+def test_outmap_stores_a_tuple_of_bools_as_ints():
+    phi = Outmap(1, (True, False))
+    assert phi == Outmap(1, (1, 0)) and repr(phi) == repr(Outmap(1, (1, 0)))
 
 
 def test_face_sinks_on_fixed_outmaps():
