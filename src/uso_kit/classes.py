@@ -28,10 +28,10 @@ import numpy as np
 from .cube import (
     FaceSpec,
     Outmap,
+    _array_outmap,
     _carrier_keys,
     _values,
     _vertex_dtype,
-    full_mask,
 )
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
 from .recognition import PairEvalCounter, is_puso, is_uso_fast
@@ -45,15 +45,14 @@ class Parity(enum.Enum):
 def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """The face's vertices in increasing order, and the inverse of the outmap induced on it.
 
-    inverse has 2**n entries; inverse[k] is the vertex of the face whose
-    induced value is k, for every subset k of the carrier.  Raises
-    NotBijectiveError naming the first two vertices, in vertex order, that
-    share a value.
+    Both are in _vertex_dtype(n); inverse has 2**n entries, and inverse[k] is the vertex
+    of the face whose induced value is k, for every subset k of the carrier.  Raises
+    NotBijectiveError naming the first two vertices, in vertex order, that share a value.
     """
     keys = _carrier_keys(phi, face)
-    verts = np.flatnonzero(keys & (full_mask(phi.n) ^ face.carrier) == face.lower)
+    verts = np.flatnonzero(keys | face.carrier == face.upper).astype(keys.dtype)
     values = keys[verts] ^ face.lower  # a face vertex is keyed lower | induced value
-    inverse = np.zeros(1 << phi.n, dtype=verts.dtype)
+    inverse = np.zeros(1 << phi.n, dtype=keys.dtype)
     inverse[values] = verts
     if not np.array_equal(inverse[values], verts):
         # a shared value: the loop names the first vertex whose value was seen before
@@ -69,7 +68,7 @@ def _face_inverse(phi: Outmap, face: FaceSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def dual(phi: Outmap) -> Outmap:
     """Inverse outmap phi**-1; requires phi to be a bijection, which _face_inverse checks."""
-    return Outmap(phi.n, tuple(_face_inverse(phi, phi.whole_face())[1].tolist()), _checked=True)
+    return _array_outmap(_face_inverse(phi, phi.whole_face())[1])
 
 
 # Pairs per tile of the containment scan, so that its temporaries stay in cache.

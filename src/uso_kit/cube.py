@@ -273,7 +273,13 @@ def induced_outmap(phi: Outmap, face: FaceSpec) -> Outmap:
 
 
 def parse_uso(text: str) -> Outmap:
-    """Parse the .uso text format; raises FormatError with a line number."""
+    """Parse the .uso text format; raises FormatError with a line number.  Text in emit_uso's
+    layout (final newline optional) is read from its bytes, any other text by the line path."""
+    end = text.find("\n")
+    if 0 < end <= 2 and text.isascii() and text[:end].isdigit():
+        phi = _decoded(text if text.endswith("\n") else text + "\n", end + 1, int(text[:end]))
+        if phi is not None:
+            return phi
     lines = text.splitlines()
     phi, end = _parse_record(lines, 0)
     if end < len(lines):
@@ -330,20 +336,8 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
             return Outmap(n, tuple(map(_line_values(n).__getitem__, rows)), _checked=True), end
         except KeyError:
             pass  # a malformed row: the checks below name it
-    else:
-        # each row and its newline as n + 1 bytes ("?" for non-ASCII); once the first n bytes
-        # of every row are "0"/"1" (48/49), the newlines fill the rest
-        codes = np.frombuffer(("\n".join(rows) + "\n").encode("ascii", "replace"), np.uint8)
-        if codes.size == expected * (n + 1):
-            digits = codes.reshape(expected, n + 1)[:, :n]  # a view: no copy of the record
-            if digits.min() >= 48 and digits.max() <= 49:
-                # one column at a time into _vertex_dtype(n): no temporary holds more than a
-                # value per row, and the array becomes the memo's (see _values)
-                values = sum((digits[:, i] & 1).astype(_vertex_dtype(n)) << i for i in range(n))
-                values.flags.writeable = False
-                phi = Outmap(n, tuple(values.tolist()), _checked=True)
-                _memo(phi)["array"] = values
-                return phi, end
+    elif (phi := _decoded("\n".join(rows) + "\n", 0, n)) is not None:
+        return phi, end
     # some row is malformed: name the first one and its first bad character
     for v, row in enumerate(rows):
         if len(row) != n:
@@ -352,6 +346,33 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
             if ch not in "01":
                 raise FormatError(f"invalid character {ch!r}", line=v + 2)
     raise AssertionError("unreachable: every row is n characters of 0/1")
+
+
+def _decoded(text: str, start: int, n: int) -> Outmap | None:
+    """The outmap whose rows are text[start:] as a (2**n, n + 1) byte matrix, or None unless
+    that is 2**n rows of n digits 0/1 and a newline.  Horner's rule adds 48 + digit for each
+    column in place in _vertex_dtype(n), so 48 * (2**n - 1), modulo its width, comes off last."""
+    if n > MAX_DIM or len(text) - start != (n + 1) << n:
+        return None
+    rows = np.frombuffer(text.encode("ascii", "replace"), "u1", offset=start).reshape(-1, n + 1)
+    digits = rows[:, :n]  # a view: no copy of the record
+    if (rows[:, n] != 10).any() or digits.min(initial=48) < 48 or digits.max(initial=49) > 49:
+        return None
+    values = np.zeros(1 << n, _vertex_dtype(n))
+    for i in reversed(range(n)):
+        values <<= 1  # in place: a temporary per column would fragment the heap
+        values += digits[:, i]
+    values -= values.dtype.type(48 * full_mask(n) % (1 << 8 * values.itemsize))
+    del rows, digits  # the record's bytes go before its tuple comes
+    return _array_outmap(values)
+
+
+def _array_outmap(values: np.ndarray) -> Outmap:
+    """The outmap of checked values in _vertex_dtype(n), which become its read-only memo array."""
+    values.flags.writeable = False
+    phi = Outmap(len(values).bit_length() - 1, tuple(values.tolist()), _checked=True)
+    _memo(phi)["array"] = values
+    return phi
 
 
 def value_line(value: int, n: int) -> str:
@@ -375,15 +396,14 @@ def _line_table(n: int) -> tuple[str, ...]:
 
 
 def _uso_body(values, n: int) -> str:
-    """The .uso body of a sequence of int values: one newline-terminated line each.
+    """The .uso body of int values, an array in _vertex_dtype(n) above n = 10: one line each.
 
-    Up to n = 10 that is one itemgetter call on the line table (at n = 0, with one
-    index, itemgetter would return a bare line).  Above, it is the parser's (2**n, n + 1)
-    byte matrix of digits and newlines, one column at a time: no 2**n-by-n temporary.
+    Up to n = 10 that is one itemgetter call on the line table (at n = 0, with one index,
+    itemgetter would return a bare line).  Above, it is the parser's (2**n, n + 1) byte
+    matrix of digits and newlines, one column at a time: no 2**n-by-n temporary.
     """
     if n <= 10:
         return "".join(itemgetter(*values)(_line_table(n))) if n else "\n"
-    values = np.asarray(values, _vertex_dtype(n))
     codes = np.full((len(values), n + 1), 10, np.uint8)
     for i in range(n):
         codes[:, i] = values >> i & 1 | 48
@@ -392,4 +412,4 @@ def _uso_body(values, n: int) -> str:
 
 def emit_uso(phi: Outmap) -> str:
     """Serialize an outmap to .uso text (with trailing newline)."""
-    return f"{phi.n}\n" + _uso_body(phi.values, phi.n)
+    return f"{phi.n}\n" + _uso_body(_values(phi) if phi.n > 10 else phi.values, phi.n)

@@ -26,6 +26,7 @@ from uso_kit import (
     value_line,
 )
 
+from uso_kit import cube
 from uso_kit.cube import face_schedule, read_outmap_stream
 
 from conftest import BORDER_3, BOW, EYE, KM_3, random_outmap
@@ -317,6 +318,86 @@ def test_parse_emit_round_trip_above_the_line_table(n, seed, ones):
     values = tuple(full if rng.random() < ones else rng.getrandbits(n) for _ in range(1 << n))
     phi = Outmap(n, values)
     assert parse_uso(emit_uso(phi)) == phi
+
+
+def _line_path(text: str) -> Outmap:
+    """parse_uso by lines alone: one record over text.splitlines() and no surplus line."""
+    lines = text.splitlines()
+    phi, end = cube._parse_record(lines, 0)
+    if end < len(lines):
+        raise FormatError(
+            f"expected {end - 1} vertex lines for dimension {phi.n}, got {len(lines) - 1}",
+            line=end + 1,
+        )
+    return phi
+
+
+def _outcome(parse, text):
+    try:
+        phi = parse(text)
+    except FormatError as exc:
+        return str(exc), exc.line
+    return phi
+
+
+def _uso_mutations(text: str, rng: random.Random):
+    """Seeded variants of one emit_uso text that the byte path and the line path could
+    read apart: line ends, dimension lines, separators, and body edits."""
+    head, _, body = text.partition("\n")
+    yield text
+    yield text.replace("\n", "\r\n")
+    yield text[:-1]  # no final newline
+    for new in (" " + head, "0" + head, "020", "+" + head, "\uff13", "21", "5" * 5000):
+        yield new + "\n" + body
+    at = rng.randrange(len(head) + 1)
+    for sep in ("\x0b", "\x1c"):
+        yield head[:at] + sep + head[at:] + "\n" + body
+        at = rng.randrange(len(head) + 1, len(text))
+        yield text[:at] + sep + text[at:]
+    yield "\ufeff" + text
+    digits = [k for k in range(len(head) + 1, len(text)) if text[k] in "01"]
+    if digits:
+        at = rng.choice(digits)
+        for new in ("10"[int(text[at])], "2", "x"):
+            yield text[:at] + new + text[at + 1 :]
+    at = rng.choice([k for k in range(len(head) + 1, len(text)) if text[k] == "\n"])
+    for new in ("0", "x", "\r"):
+        yield text[:at] + new + text[at + 1 :]
+    yield text[: rng.randrange(len(text))]
+    yield text + body
+    yield text + "\n"
+
+
+def test_byte_path_parses_as_the_line_path_does():
+    """parse_uso against the line path on seeded mutations of emit_uso texts at n = 0..12
+    and on a 17-cube: an equal Outmap, with the decoded array as its memo's, or the same error and line."""
+    rng = random.Random(31)
+    decoded = 0
+    texts = ["0\n", "0\n\n", "0\n\n\n", "00\n\n", "0\n0\n"]
+    for n in range(13):
+        full = full_mask(n)
+        for ones in (0.0, 0.25, 1.0):
+            values = [full if rng.random() < ones else rng.getrandbits(n) for _ in range(1 << n)]
+            text = emit_uso(Outmap(n, values))
+            # above n = 10 the line path decodes with the same helper: check it against the source
+            assert parse_uso(text) == Outmap(n, values)
+            # a missing final newline stays on the byte path (the line table leaves no array)
+            assert n == 0 or "array" in vars(parse_uso(text[:-1]))["_memo"]
+            texts += _uso_mutations(text, rng)
+    phi = Outmap(17, [rng.getrandbits(17) for _ in range(1 << 17)])  # uint32 values
+    text = emit_uso(phi)
+    assert parse_uso(text) == parse_uso(text[:-1]) == phi
+    texts += [text, text.replace("\n", "\r\n")]
+    for text in texts:
+        got, want = _outcome(parse_uso, text), _outcome(_line_path, text)
+        assert got == want, text[:40]
+        if isinstance(got, Outmap):
+            array = vars(got).get("_memo", {}).get("array")
+            if array is not None:
+                assert not array.flags.writeable and array.dtype == cube._vertex_dtype(got.n)
+                assert array.tolist() == list(got.values)
+                decoded += 1
+    assert decoded > 100
 
 
 def _emit_reference(phi: Outmap) -> str:

@@ -175,11 +175,13 @@ def test_unchecked_producers_match_the_checked_constructor():
             phi = parse_uso(texts[-1])
             _assert_as_if_checked(phi)
             assert phi.values == tuple(vals)
-            # above the n = 10 line table the parser hands over the array it decoded
-            assert ("array" in vars(phi).get("_memo", {})) == (n > 10)
+            # parse_uso hands over the array it decoded from the record's bytes at every n
+            assert "array" in vars(phi)["_memo"]
     stream = cube.read_outmap_stream("\n".join(texts))
     assert [phi.n for phi in stream] == [n for n in range(13) for _ in range(2)]
     for phi in stream:
+        # stream records up to n = 10 come from the line table, above it from the bytes
+        assert ("array" in vars(phi).get("_memo", {})) == (phi.n > 10)
         _assert_as_if_checked(phi)
     for kind, stop in (("uso", 4), ("puso", 4), ("odd", 5), ("border", 5)):
         for n in range(stop):
