@@ -5,11 +5,10 @@ border exactly when every vertex pair with psi(U) XOR psi(V) contained in
 U XOR V has |psi(U) XOR psi(V)| odd.  An odd USO is the mirror notion for
 the inverse outmap: every pair with U XOR V contained in phi(U) XOR phi(V)
 has |U XOR V| odd.  The two direct pair conditions differ only in which side
-must contain the other, so one containment scan decides both.  It scans one
-parity class after the other in broadcast tiles, with no index gathers, and
-keeps the witness and pair count of a pair-by-pair scan; the test suite
-cross-checks it against the dual route (odd = dual is border), the cap route
-(odd = every face is a cap) and a pair-by-pair reference.
+must contain the other, so both are recognition._first_failing_pair, the
+pair kernel is_uso_naive scans with; the test suite cross-checks them against
+the dual route (odd = dual is border), the cap route (odd = every face is a
+cap) and a pair-by-pair reference.
 
 is_border, is_odd and puso_parity need a USO or a PUSO: they gate through
 is_uso_fast and is_puso, which read the verdict recognition.classify stored
@@ -21,7 +20,6 @@ Inverses and caps read the carrier key map of cube._carrier_keys.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .cube import (
     _vertex_dtype,
 )
 from .errors import NotAPusoError, NotAUsoError, NotBijectiveError
-from .recognition import PairEvalCounter, is_puso, is_uso_fast
+from .recognition import PairEvalCounter, _first_failing_pair, _vertex_parity, is_puso, is_uso_fast
 
 
 class Parity(enum.Enum):
@@ -71,76 +69,23 @@ def dual(phi: Outmap) -> Outmap:
     return _array_outmap(_face_inverse(phi, phi.whole_face())[1])
 
 
-# Pairs per tile of the containment scan, so that its temporaries stay in cache.
-_PAIR_BLOCK = 1 << 16
-
-
-@lru_cache(maxsize=None)
-def _vertex_parity(n: int) -> np.ndarray:
-    """Popcount parity of every vertex, read-only: parity[v + 2**k] = parity[v] ^ 1."""
-    parity = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        parity = np.concatenate([parity, parity ^ 1])
-    parity.flags.writeable = False
-    return parity
-
-
-def _first_failing_pair(p: np.ndarray, q: np.ndarray):
-    """Lexicographically first failing pair (U, V), U < V, or None.
-
-    The pair fails when p[U] and p[V] have equal parity and
-    (p[U] ^ p[V]) & (~q[U] ^ q[V]) == 0.  Class 0 is scanned, then class 1,
-    each in broadcast tiles: the first a single row, each later one at most
-    _PAIR_BLOCK pairs.  A class stops at its first failing tile, or at a
-    tile whose first row lies past the best failing U so far; pairs of
-    different parity never fail, so the smaller pair is the answer.  p is a
-    bijection, so a tile's diagonal entries are its only trivial matches.
-    """
-    parity = _vertex_parity(len(p).bit_length() - 1)[p]
-    best = None
-    for cls in (0, 1):
-        members = np.flatnonzero(parity == cls)
-        p_c, not_q, q_c = p[members], ~q[members], q[members]
-        start = 0
-        while start < len(members) - 1 and (best is None or members[start] < best[0]):
-            stop = start + (max(1, _PAIR_BLOCK // (len(members) - start)) if start else 1)
-            tile = p_c[start:stop, None] ^ p_c[start:]
-            tile &= not_q[start:stop, None] ^ q_c[start:]
-            if np.count_nonzero(tile) < tile.size - len(tile):
-                bad = tile == 0
-                bad[np.diag_indices(len(tile))] = False
-                # the first failing row's failures all lie right of the diagonal
-                rank, col = np.nonzero(bad)
-                pair = (int(members[start + rank[0]]), int(members[start + col[0]]))
-                best = pair if best is None else min(best, pair)
-                break
-            start = stop
-    return best
-
-
 def _containment_scan(phi: Outmap, counter: PairEvalCounter | None, odd: bool):
     """Shared pair scan of is_border (odd=False) and is_odd (odd=True).
 
     With D = phi(U) XOR phi(V), a pair fails when D is contained in U XOR V
     and |D| is even (border), or when U XOR V is contained in D and
-    |U XOR V| is even (odd).  Both are _first_failing_pair, with
-    (p, q) = (vertex, value) for odd and (value, vertex) for border.  The
-    witness is the lexicographically first failing pair (U, V), U < V, and
-    the counter receives the number of pairs up to and including it in
-    lexicographic order, as a pair-by-pair scan would.  The USO gate is
-    is_uso_fast, so a non-USO raises NotAUsoError after its 3**n - 2**n charge.
+    |U XOR V| is even (odd): recognition._first_failing_pair with
+    (p, q_row, q_col, classes) = (vertex, ~value, value, vertex parity) for
+    odd and (value, ~vertex, vertex, value parity) for border, whose witness
+    and pair count this returns and charges.  The USO gate is is_uso_fast, so
+    a non-USO raises NotAUsoError after its 3**n - 2**n charge.
     """
     if not is_uso_fast(phi, counter):
         raise NotAUsoError("input outmap is not a unique sink orientation")
-    size = 1 << phi.n
-    verts = np.arange(size, dtype=_vertex_dtype(phi.n))
-    vals = _values(phi)
-    witness = _first_failing_pair(verts, vals) if odd else _first_failing_pair(vals, verts)
-    if witness is None:
-        used = size * (size - 1) // 2
-    else:
-        u, v = witness
-        used = u * (size - 1) - u * (u - 1) // 2 + (v - u)
+    verts = np.arange(1 << phi.n, dtype=_vertex_dtype(phi.n))
+    vals, parity = _values(phi), _vertex_parity(phi.n)
+    args = (verts, ~vals, vals, parity) if odd else (vals, ~verts, verts, parity[vals])
+    used, witness = _first_failing_pair(*args)
     if counter is not None:
         counter.count += used
     return witness is None, witness

@@ -60,11 +60,11 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .classes import _first_failing_pair, dual
+from .classes import dual
 from .constructions import _check_dimension, extend_border
 from .cube import Outmap, _uso_body, _vertex_dtype, face_schedule, parse_uso
 from .errors import ResourceLimitError
-from .recognition import _face_failures, _puso_rows
+from .recognition import _face_failures, _first_failing_pair, _puso_rows, _vertex_parity
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +248,8 @@ def _odd_values(m: int) -> np.ndarray:
     if m > 4:
         raise ResourceLimitError("odd USO lists are materialized up to n = 4 only")
     if m <= 2:
-        verts = np.arange(1 << m, dtype=np.uint16)
-        vals = _uso_values(m)[[_first_failing_pair(verts, row) is None for row in _uso_values(m)]]
+        verts, parity, rows = np.arange(1 << m, dtype=np.uint16), _vertex_parity(m), _uso_values(m)
+        vals = rows[[_first_failing_pair(verts, ~row, row, parity)[1] is None for row in rows]]
     else:
         vals = np.concatenate(list(_composed_odd(m - 1)))
     vals.flags.writeable = False

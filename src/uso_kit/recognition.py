@@ -20,14 +20,17 @@ dimension order its first failing face has minimal dimension;
 is_orientation reads the edge slice through it, _report turns that face
 into the verdict of classify and is_uso_naive, and is_uso_fast and is_puso
 read the verdict classify stored (_has_verdict).  The pair-evaluation
-counts are those of a face-by-face scan.  is_uso_naive keeps its
-pure-Python pair loop as the independent oracle.
+counts are those of a face-by-face scan.  is_uso_naive, the independent
+method, checks the all-pairs definition with _first_failing_pair, the one
+vertex-pair kernel, in broadcast tiles; classes' border and odd scans are
+its two containment conditions.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,27 +138,73 @@ def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
     return False, (face.lower, face.carrier.bit_length())
 
 
+# Pairs per tile of the pair scan, so that its temporaries stay in cache.
+_PAIR_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _vertex_parity(n: int) -> np.ndarray:
+    """Popcount parity of every vertex, read-only: parity[v + 2**k] = parity[v] ^ 1."""
+    parity = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        parity = np.concatenate([parity, parity ^ 1])
+    parity.flags.writeable = False
+    return parity
+
+
+def _first_failing_pair(p, q_row, q_col, classes) -> tuple[int, tuple[int, int] | None]:
+    """(pairs evaluated, lexicographically first failing pair (U, V), U < V, or None).
+
+    A pair fails when classes[U] == classes[V] and
+    (p[U] ^ p[V]) & (q_row[U] ^ q_col[V]) == 0.  The count is that of a
+    pair-by-pair scan in lexicographic order: the pairs up to and including
+    the witness, or all of them.  Class 0 is scanned, then class 1 (classes
+    are 0 or 1), each in broadcast tiles: the first a single row, each later
+    one at most _PAIR_BLOCK pairs.  A class stops at its first failing tile,
+    or at a tile whose first row lies past the best failing U so far; pairs
+    of different classes never fail, so the smaller pair is the answer.  p
+    is a bijection and q_row ^ q_col is constant, so a tile is symmetric and
+    its diagonal entries are its only trivial matches.
+    """
+    best = None
+    for cls in (0, 1):
+        members = np.flatnonzero(classes == cls)
+        p_c, row_c, col_c = p[members], q_row[members], q_col[members]
+        start = 0
+        while start < len(members) - 1 and (best is None or members[start] < best[0]):
+            stop = start + (max(1, _PAIR_BLOCK // (len(members) - start)) if start else 1)
+            tile = p_c[start:stop, None] ^ p_c[start:]
+            tile &= row_c[start:stop, None] ^ col_c[start:]
+            if np.count_nonzero(tile) < tile.size - len(tile):
+                bad = tile == 0
+                bad[np.diag_indices(len(tile))] = False
+                # the first failing row's failures all lie right of the diagonal
+                rank, col = np.nonzero(bad)
+                pair = (int(members[start + rank[0]]), int(members[start + col[0]]))
+                best = pair if best is None else min(best, pair)
+                break
+            start = stop
+    size = len(p)
+    if best is None:
+        return size * (size - 1) // 2, None
+    u, v = best
+    return u * (size - 1) - u * (u - 1) // 2 + (v - u), best
+
+
 def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> ClassificationReport:
     """Classify by evaluating unordered pairs of distinct vertices.
 
-    Scans pairs (u, v), u < v, in lexicographic order and stops at the
-    first failing pair, which becomes the witness.  On failure the verdict
+    The all-pairs definition: phi is a USO when every pair of distinct
+    vertices succeeds.  _first_failing_pair scans the pairs (u, v), u < v,
+    as one class, and its lexicographically first failing pair becomes the
+    witness, with the count of a pair-by-pair scan.  On failure the verdict
     is then refined (NotOrientation / PUSO / Other) by the same minimal
     failing-face scan classify uses.
     """
-    values = phi.values
-    size = 1 << phi.n
-    used = 0
-    witness = face = None
-    for u in range(size):
-        vu = values[u]
-        for v in range(u + 1, size):
-            used += 1
-            if not (vu ^ values[v]) & (u ^ v):
-                witness = (u, v)
-                break
-        if witness:
-            break
+    vals = _values(phi)
+    verts = np.arange(len(vals), dtype=vals.dtype)
+    used, witness = _first_failing_pair(verts, vals, vals, np.zeros_like(verts))
+    face = None
     if witness is not None:
         scan_used, face = _first_failing_face(phi)
         used += scan_used

@@ -36,6 +36,7 @@ from uso_kit import (
     is_odd,
     is_puso,
     is_uso_fast,
+    is_uso_naive,
     klee_minty,
     odd_family,
     puso_parity,
@@ -167,6 +168,8 @@ def test_containment_scan_matches_pair_by_pair_reference():
 def _offset_scan(phi, odd):
     """Offset-grouped gather scan: (ok, witness, pairs evaluated).
 
+    odd=True and odd=False scan the odd and the border condition, and
+    odd=None the USO condition, which fails a pair when diff & d == 0.
     Pairs are grouped by the offset d = U XOR V.  With j the top coordinate
     of d, U < V exactly when U lacks j, so the offsets with top coordinate j
     run against the vertices that lack j, gathering phi(U XOR d).  The
@@ -192,7 +195,9 @@ def _offset_scan(phi, odd):
             d = offsets[k : k + step, None]
             vs = us ^ d
             diff = vals[us] ^ vals[vs]
-            if odd:
+            if odd is None:
+                bad = diff & d == 0
+            elif odd:
                 bad = diff & d == d
             else:
                 bad = (diff & ~d == 0) & (value_parity[us] == value_parity[vs])
@@ -229,6 +234,30 @@ def test_containment_scan_matches_offset_gather_oracle(n):
         _assert_scans_match(phi, _offset_scan)
 
 
+def _reversed_edge(phi, rng):
+    """phi with the edge at a seeded vertex along a seeded coordinate reversed."""
+    values = list(phi.values)
+    v, e = rng.getrandbits(phi.n), 1 << rng.randrange(phi.n)
+    values[v] ^= e
+    values[v ^ e] ^= e
+    return Outmap(phi.n, tuple(values))
+
+
+def test_naive_agrees_with_classify_and_the_offset_oracle_beyond_n_12():
+    """is_uso_naive's verdict and puso_face are classify's at n = 13..15, and its
+    witness and count are those of the offset-gather scan of the USO condition."""
+    rng = random.Random(1315)
+    cases = [_reversed_edge(flip(klee_minty(n), rng.getrandbits(n)), rng) for n in (13, 14)]
+    cases.append(_reversed_edge(odd_family(16, rng.getrandbits(11)), rng))
+    for phi in cases:
+        report = classify(phi)
+        naive = is_uso_naive(phi)
+        assert (naive.verdict, naive.puso_face) == (report.verdict, report.puso_face)
+        ok, witness, used = _offset_scan(phi, None)
+        assert naive.witness == witness
+        assert naive.pair_evals_used == used + (0 if ok else report.pair_evals_used)
+
+
 # Two 4-cube USOs on which, with _PAIR_BLOCK = 64, each parity class holds a
 # failing tile whose first row is at most the witness's U.  Class 0 is scanned first,
 # then class 1: a class's failure must not end the other class's scan, and the
@@ -243,7 +272,7 @@ MERGE_CASES = [
 
 @pytest.mark.parametrize("block", [1, 8, 64])
 def test_containment_scan_tiles_match_reference(block, monkeypatch):
-    monkeypatch.setattr(classes, "_PAIR_BLOCK", block)
+    monkeypatch.setattr(recognition, "_PAIR_BLOCK", block)
     rng = random.Random(block)
     usos = [klee_minty(n) for n in range(7)] + list(enumerate_usos(3))[::37]
     usos += [flip(random_uso(4, rng), rng.getrandbits(4)) for _ in range(10)]
@@ -258,13 +287,13 @@ def test_containment_scan_tiles_match_reference(block, monkeypatch):
 
 
 @given(st.integers(0, 4), st.integers(0, 2**32), st.integers(0, 15), st.booleans(),
-       st.sampled_from([1, 8, 64, classes._PAIR_BLOCK]))
+       st.sampled_from([1, 8, 64, recognition._PAIR_BLOCK]))
 @settings(max_examples=80, deadline=None)
 def test_containment_scan_property(n, seed, mask, take_dual, block):
     """Seeded random USOs under flip and dual, at several tile sizes."""
     phi = flip(random_uso(n, random.Random(seed)), mask & ((1 << n) - 1))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(classes, "_PAIR_BLOCK", block)
+        patch.setattr(recognition, "_PAIR_BLOCK", block)
         _assert_scans_match(dual(phi) if take_dual else phi, _scan_reference)
 
 

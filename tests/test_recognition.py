@@ -1,5 +1,6 @@
 """Pair evaluations, USO/PUSO recognizers, and the four-way classifier."""
 
+import functools
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uso_kit import (
+    ClassificationReport,
     FaceSpec,
     Outmap,
     PairEvalCounter,
@@ -146,6 +148,56 @@ def test_naive_scans_all_pairs_on_usos():
     report = is_uso_naive(Outmap(3, KM_3), counter)
     assert report.verdict is Verdict.USO
     assert counter.count == 8 * 7 // 2
+
+
+def _pair_loop(phi):
+    """The pair-by-pair scan: (first failing pair (u, v), u < v, or None; pairs evaluated)."""
+    values, size = phi.values, 1 << phi.n
+    used = 0
+    for u in range(size):
+        for v in range(u + 1, size):
+            used += 1
+            if not (values[u] ^ values[v]) & (u ^ v):
+                return (u, v), used
+    return None, used
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_loop_cases():
+    """Seeded random functions at n = 0..6, and flipped Klee-Minty cubes, alone and
+    with one bit or one edge reversed, at n = 2..10, each with its pair-loop scan."""
+    rng = random.Random(3204)
+    cases = [random_outmap(n, rng) for n in range(7) for _ in range(40)]
+    for n in range(2, 11):
+        for _ in range(3):
+            values = list(flip(klee_minty(n), rng.getrandbits(n)).values)
+            v, e = rng.getrandbits(n), 1 << rng.randrange(n)
+            bit, edge = values.copy(), values.copy()
+            bit[v] ^= e
+            edge[v] ^= e
+            edge[v ^ e] ^= e
+            cases += [Outmap(n, tuple(vals)) for vals in (values, bit, edge)]
+    return [(phi, *_pair_loop(phi)) for phi in cases]
+
+
+@pytest.mark.parametrize("block", [1, 8, 64, recognition._PAIR_BLOCK])
+def test_naive_matches_the_pair_loop(block, monkeypatch):
+    """is_uso_naive's witness and count are the pair loop's, at any tile size, and its
+    verdict and puso_face are those of the face classify finds."""
+    monkeypatch.setattr(recognition, "_PAIR_BLOCK", block)
+    verdicts = set()
+    for phi, witness, used in _pair_loop_cases():
+        report = classify(phi)
+        if witness is None:
+            assert report.verdict is Verdict.USO
+        else:
+            used += report.pair_evals_used
+        counter = PairEvalCounter()
+        naive = is_uso_naive(phi, counter)
+        assert naive == ClassificationReport(report.verdict, witness, report.puso_face, used)
+        assert counter.count == used
+        verdicts.add(naive.verdict)
+    assert verdicts == set(Verdict)
 
 
 def test_exhaustive_two_dimensional_function_space():
