@@ -320,7 +320,8 @@ def _parse_record(lines: list[str], start: int) -> tuple[Outmap, int]:
             raise ValueError
         n = int(head)
     except ValueError:  # also past int()'s digit limit
-        raise FormatError(f"expected a decimal dimension, got {head!r}", line=1) from None
+        got = repr(head) if len(head) <= 32 else f"{head[:32]!r} (cut from {len(head)} characters)"
+        raise FormatError(f"expected a decimal dimension, got {got}", line=1) from None
     if not 0 <= n <= MAX_DIM:
         raise FormatError(f"dimension {n} outside 0..{MAX_DIM}", line=1)
     expected = 1 << n

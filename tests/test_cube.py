@@ -294,6 +294,19 @@ def test_parse_rejects_dimension_lines_that_int_would_accept(head):
     assert parse_uso(f"02\n{body}") == parse_uso(f" 2 \n{body}") == Outmap(2, (0, 1, 3, 2))
 
 
+def test_parse_cuts_a_long_dimension_line_in_its_message():
+    """A dimension line past 32 characters is echoed cut, with its length; up to 32 in full."""
+    with pytest.raises(FormatError) as err:
+        parse_uso("5" * 5000 + "\n0\n")
+    assert str(err.value) == (
+        f"line 1: expected a decimal dimension, got {'5' * 32!r} (cut from 5000 characters)"
+    )
+    head = "x" * 32
+    with pytest.raises(FormatError) as err:
+        read_outmap_stream(f"{head}\n0\n")
+    assert str(err.value) == f"record 1: line 1: expected a decimal dimension, got {head!r}"
+
+
 def test_parse_names_the_first_malformed_row():
     with pytest.raises(FormatError) as err:
         parse_uso("2\n00\n1x\n0\n11\n")
