@@ -168,7 +168,7 @@ def _first_failing_pair(p, q_row, q_col, classes) -> tuple[int, tuple[int, int] 
     """
     best = None
     for cls in (0, 1):
-        members = np.flatnonzero(classes == cls)
+        members = (classes == cls).nonzero()[0]
         p_c, row_c, col_c = p[members], q_row[members], q_col[members]
         start = 0
         while start < len(members) - 1 and (best is None or members[start] < best[0]):
@@ -177,7 +177,7 @@ def _first_failing_pair(p, q_row, q_col, classes) -> tuple[int, tuple[int, int] 
             tile &= row_c[start:stop, None] ^ col_c[start:]
             if np.count_nonzero(tile) < tile.size - len(tile):
                 bad = tile == 0
-                bad[np.diag_indices(len(tile))] = False
+                np.fill_diagonal(bad, False)
                 # the first failing row's failures all lie right of the diagonal
                 rank, col = np.nonzero(bad)
                 pair = (int(members[start + rank[0]]), int(members[start + col[0]]))
@@ -203,7 +203,7 @@ def is_uso_naive(phi: Outmap, counter: PairEvalCounter | None = None) -> Classif
     """
     vals = _values(phi)
     verts = np.arange(len(vals), dtype=vals.dtype)
-    used, witness = _first_failing_pair(verts, vals, vals, np.zeros_like(verts))
+    used, witness = _first_failing_pair(verts, vals, vals, np.zeros(len(vals), dtype=np.uint8))
     face = None
     if witness is not None:
         scan_used, face = _first_failing_face(phi)

@@ -244,8 +244,9 @@ def _reversed_edge(phi, rng):
 
 
 def test_naive_agrees_with_classify_and_the_offset_oracle_beyond_n_12():
-    """is_uso_naive's verdict and puso_face are classify's at n = 13..15, and its
-    witness and count are those of the offset-gather scan of the USO condition."""
+    """is_uso_naive's verdict and puso_face are classify's at n = 13..15.  Its witness
+    and count are those of the offset-gather scan of the USO condition at n = 13 and
+    14; at n = 15, where that scan alone takes over a second, the witness fails."""
     rng = random.Random(1315)
     cases = [_reversed_edge(flip(klee_minty(n), rng.getrandbits(n)), rng) for n in (13, 14)]
     cases.append(_reversed_edge(odd_family(16, rng.getrandbits(11)), rng))
@@ -253,6 +254,10 @@ def test_naive_agrees_with_classify_and_the_offset_oracle_beyond_n_12():
         report = classify(phi)
         naive = is_uso_naive(phi)
         assert (naive.verdict, naive.puso_face) == (report.verdict, report.puso_face)
+        if phi.n == 15:
+            u, v = naive.witness
+            assert not (phi[u] ^ phi[v]) & (u ^ v)
+            continue
         ok, witness, used = _offset_scan(phi, None)
         assert naive.witness == witness
         assert naive.pair_evals_used == used + (0 if ok else report.pair_evals_used)
