@@ -152,7 +152,7 @@ def _vertex_parity(n: int) -> np.ndarray:
     return parity
 
 
-def _first_failing_pair(p, q_row, q_col, classes) -> tuple[int, tuple[int, int] | None]:
+def _first_failing_pair(p: np.ndarray, q_row: np.ndarray, q_col: np.ndarray, classes: np.ndarray):
     """(pairs evaluated, lexicographically first failing pair (U, V), U < V, or None).
 
     A pair fails when classes[U] == classes[V] and
