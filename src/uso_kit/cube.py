@@ -138,7 +138,10 @@ def face_schedule(n: int) -> tuple[np.ndarray, np.ndarray]:
     Faces are ordered by dimension, and within one dimension in faces_iter
     order, so a scan that stops at the first failing face stops at a face
     of minimal dimension.  The arrays are read-only, uint16 (uint32 above
-    n = 16); the cached schedule of a 12-cube takes about 2 MB.
+    n = 16); the cached schedule of a 12-cube takes about 2 MB.  The library
+    builds it only for the half cubes of recognition's product scan, up to
+    n = 10 (n = 13 for the high half of a 20-cube), and for enumeration,
+    n <= 4.
     """
     dtype = _vertex_dtype(n)
     carriers = np.arange(1, full_mask(n) + 1)

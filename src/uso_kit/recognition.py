@@ -10,31 +10,34 @@ succeeds while the whole cube's antipodal pairs all fail.  Every recognizer
 takes an optional PairEvalCounter so callers can audit the evaluation
 budget.
 
-All face scans read one cached schedule, cube.face_schedule: the lower and
-upper vertex of every face as two arrays, faces ordered by dimension.  One
-numpy kernel, _face_failures, evaluates a slice of it in one gather-XOR-AND
-for one outmap or, for enumeration's batch class lists, a (k, 2**n) matrix
-of outmaps.  A single outmap has one scan, _first_failing_face, in
-slices of n * 2**(n-1) faces, the number of edges; by the schedule's
-dimension order its first failing face has minimal dimension;
-is_orientation reads the edge slice through it, _report turns that face
-into the verdict of classify and is_uso_naive, and is_uso_fast and is_puso
-read the verdict classify stored (_has_verdict).  The pair-evaluation
-counts are those of a face-by-face scan.  is_uso_naive, the independent
-method, checks the all-pairs definition with _first_failing_pair, the one
-vertex-pair kernel, in broadcast tiles; classes' border and odd scans are
-its two containment conditions.
+A single outmap has one face scan, _first_failing_face, a product scan:
+a face of the n-cube is a face of its high n - K coordinates times one of
+the low K, so it reads two cached half-cube face tables (_product_halves, built
+from cube.face_schedule(k) for k <= 13), never the n-cube's schedule.  It
+reads the edges, then the 2-faces, then the rest, and returns the first
+failing face in face_schedule order, which has minimal dimension, with its
+position as the count; is_orientation is its edge stage, _report turns
+that face into the verdict of classify and is_uso_naive, and is_uso_fast
+and is_puso read the verdict classify stored (_has_verdict).  The
+pair-evaluation counts are those of a face-by-face scan.  One numpy
+kernel, _face_failures, tests every face of face_schedule(n) for the
+(k, 2**n) outmap matrices of enumeration's batch class lists (n <= 3).
+is_uso_naive, the independent method, checks the all-pairs definition
+with _first_failing_pair, the one vertex-pair kernel, in broadcast tiles;
+classes' border and odd scans are its two containment conditions.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
-from .cube import FaceSpec, Outmap, _memo, _values, face_schedule
+from .cube import MAX_DIM, FaceSpec, Outmap, _memo, _values, _vertex_dtype, face_schedule, full_mask
 
 
 class Verdict(enum.Enum):
@@ -69,15 +72,14 @@ class ClassificationReport:
     pair_evals_used: int = 0
 
 
-def _face_failures(vals: np.ndarray, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Failing antipodal pairs of faces start..stop of face_schedule(n).
+def _face_failures(vals: np.ndarray, n: int) -> np.ndarray:
+    """Failing antipodal pairs of the faces of face_schedule(n), in its order.
 
     vals holds one outmap per row, shape (k, 2**n), or a single outmap of
     shape (2**n,); the result has one bool column per face, True where the
     face's antipodal pair fails.
     """
     lowers, uppers = face_schedule(n)
-    lowers, uppers = lowers[start:stop], uppers[start:stop]
     gathered = np.take(vals, lowers, axis=-1) ^ np.take(vals, uppers, axis=-1)
     return gathered & (lowers ^ uppers) == 0
 
@@ -89,27 +91,101 @@ def _puso_rows(fails: np.ndarray, n: int) -> np.ndarray:
     return fails[..., -1] & ~fails[..., :-1].any(axis=-1)
 
 
-def _first_failing_face(phi: Outmap, stop: int | None = None) -> tuple[int, FaceSpec | None]:
-    """Scan faces 0..stop of face_schedule(n) (default: all), in slices of n * 2**(n-1) faces.
+@lru_cache(maxsize=None)
+def _product_halves(n: int):
+    """K, then the high and low halves of the n-cube's product scan, coordinates K.. and ..K-1:
+    each half cube's faces, its vertices first and then face_schedule(k), as ((lowers,
+    uppers), masks, keys, offsets).  A mask holds the face's carrier and the other half's
+    coordinates; keys, dim << 42 | carrier << 21 | lower in the n-cube, sort as
+    face_schedule does, and a product face's key is the sum of its halves'.  The faces of
+    dimension d are offsets[d]:offsets[d + 1]."""
+    K = min(n // 2, 7)
+    halves = []
+    for k, shift in (n - K, K), (K, 0):
+        verts = np.arange(1 << k, dtype=_vertex_dtype(k))
+        lowers, uppers = (np.concatenate([verts, side]) for side in face_schedule(k))
+        carriers = (lowers ^ uppers).astype(np.int64) << shift
+        counts = [comb(k, d) << (k - d) for d in range(k + 1)]
+        dims = np.repeat(np.arange(k + 1, dtype=np.int64), counts)
+        keys = dims << 42 | carriers << 21 | lowers.astype(np.int64) << shift
+        masks = (carriers | full_mask(n) ^ full_mask(k) << shift).astype(_vertex_dtype(n))
+        offsets = [sum(counts[:d]) for d in range(MAX_DIM + 2)]
+        halves.append((np.stack([lowers, uppers]), masks, keys, offsets))
+    return K, *halves
 
-    Returns (evaluations performed, first face whose antipodal pair fails).
-    The schedule is ordered by dimension, so wherever a slice ends that face
-    has minimal dimension and all smaller faces succeeded: its induced
-    orientation is a PUSO when its dimension is >= 2, and an inconsistent
-    edge when it is 1.  The first slice is the edges, so a scan that fails
-    on an edge never reads the larger faces.
+
+def _schedule_position(n: int, face: FaceSpec) -> int:
+    """face's index in face_schedule(n): the faces of smaller dimension, the colex rank of
+    its carrier times 2**(n - dim), then the rank of its lower among the free coordinates."""
+    dim = rank = lower = 0
+    for p in range(n):
+        if face.carrier >> p & 1:
+            dim += 1
+            rank += comb(p, dim)
+        else:
+            lower |= (face.lower >> p & 1) << p - dim
+    return sum(comb(n, e) << (n - e) for e in range(1, dim)) + (rank << n - dim) + lower
+
+
+def _dimension_blocks(hoff: list[int], loff: list[int], prev: int, d: int) -> list[tuple]:
+    """The faces of dimension prev + 1..d as blocks of high faces r0..r1-1 times low c0..c1-1."""
+    blocks = [(hoff[h], hoff[h + 1], loff[prev - h + 1], loff[d - h + 1]) for h in range(prev + 1)]
+    return blocks + [(hoff[prev + 1], hoff[d + 1], 0, loff[d - prev])]  # d is prev + 1 or n
+
+
+# Faces per chunk of the product scan; a cube with no more faces is read in one stage.
+_CHUNK = 1 << 16
+
+
+def _first_failing_face(phi: Outmap, edges_only: bool = False) -> tuple[int, FaceSpec | None]:
+    """(evaluations of a face-by-face scan of face_schedule(n), its first failing face or None).
+
+    A product scan over _product_halves(n): with the values as a
+    (2**(n - K), 2**K) matrix, g holds each low face's lower and upper
+    gathered along the rows, so a product face's test is a row copy,
+    g[high lower, 0] ^ g[high upper, 1], masked by the high face's mask.  A cube of at most _CHUNK faces (n <= 10) is read at once; a larger
+    one reads its edges (all that edges_only reads), its 2-faces, then the
+    rest, in chunks of about _CHUNK faces.  A failure ends the stage, which
+    reads on only where a face may come first in schedule order.  That face
+    has minimal dimension: 1 is an inconsistent edge, >= 2 a PUSO face.
     """
     n = phi.n
-    vals = _values(phi)
-    lowers, uppers = face_schedule(n)
-    stop = len(lowers) if stop is None else stop
-    step = max(1, n << n >> 1)
-    for start in range(0, stop, step):
-        fails = _face_failures(vals, n, start, min(start + step, stop))
-        if fails.any():
-            f = start + int(fails.argmax())
-            return f + 1, FaceSpec(int(lowers[f]), int(uppers[f]))
-    return stop, None
+    K, ((hl, hu), hmask, hkeys, hoff), (lows, keep, lkeys, loff) = _product_halves(n)
+    m = _values(phi).reshape(-1, 1 << K)
+    g = np.empty((len(m), 2, loff[-1]), m.dtype)
+    stages = [(0, 1)] if edges_only else [(0, n)] if 3**n <= _CHUNK else [(0, 1), (1, 2), (2, n)]
+    best = None  # key of the first failing face so far
+    for prev, d in stages:
+        if best is not None:
+            break
+        cols = slice(loff[prev + 1] if prev else 0, loff[d + 1])
+        np.bitwise_and(m[:, lows[:, cols]], keep[cols], out=g[:, :, cols])
+        for r0, r1, c0, c1 in _dimension_blocks(hoff, loff, prev, d):
+            while r0 < r1:
+                if best is not None:  # only a face of smaller dimension, or of equal
+                    # dimension when it or best has no high carrier, can come first
+                    h = bisect_right(hoff, r0) - 1
+                    dim = (best >> 42) - (h > 0 and best >> 21 + K & full_mask(n - K) == 0)
+                    c1 = min(c1, loff[max(0, dim - h + 1)])
+                if c0 >= c1:
+                    break
+                r = slice(r0, min(r0 + max(1, _CHUNK // (c1 - c0)), r1))
+                r0 = r.stop
+                lo, up = (r, r) if r.stop <= hoff[1] else (hl[r], hu[r])  # high vertices, or faces
+                x = g[lo, 0, c0:c1] ^ g[up, 1, c0:c1]
+                x &= hmask[r, None]
+                if x.min():
+                    continue
+                # keys grow along a row, so a failing row's first failure is its smallest key
+                fails = x == 0
+                i = np.flatnonzero(fails.any(axis=1))
+                key = int((hkeys[r][i] + lkeys[c0 + fails[i].argmax(axis=1)]).min())
+                best = key if best is None else min(best, key)
+    if best is None:
+        return (n << n >> 1 if edges_only else 3**n - 2**n), None
+    lower = best & full_mask(21)
+    face = FaceSpec(lower, lower | best >> 21 & full_mask(21))
+    return _schedule_position(n, face) + 1, face
 
 
 def _report(phi: Outmap, used: int, face: FaceSpec | None, witness) -> ClassificationReport:
@@ -125,12 +201,12 @@ def _report(phi: Outmap, used: int, face: FaceSpec | None, witness) -> Classific
 def is_orientation(phi: Outmap, counter: PairEvalCounter | None = None):
     """Consistency check: each edge is outgoing at exactly one endpoint.
 
-    Scans the edges, the first n * 2**(n-1) faces of the schedule, in
-    faces_iter order (coordinate-major): one slice of the face scan.
+    Reads the edges, the first n * 2**(n-1) faces of the schedule, in
+    faces_iter order (coordinate-major): the face scan's edge stage.
     Returns (True, None), or (False, (V, i)) with the lower endpoint and
     coordinate of the first inconsistent edge.
     """
-    used, face = _first_failing_face(phi, phi.n << phi.n >> 1)
+    used, face = _first_failing_face(phi, edges_only=True)
     if counter is not None:
         counter.count += used
     if face is None:
@@ -232,7 +308,7 @@ def is_uso_fast(phi: Outmap, counter: PairEvalCounter | None = None) -> bool:
 
     Reads classify's verdict through _has_verdict.  The counter is charged
     exactly 3**n - 2**n pair evaluations (one per face) on every input, though
-    classify's scan stops after the slice holding the first failing face.
+    classify's scan stops in the stage that holds the first failing face.
     """
     return _has_verdict(phi, Verdict.USO, counter)
 

@@ -489,9 +489,9 @@ def test_classified_outmaps_make_no_kernel_call(monkeypatch):
     classify(puso)
 
     def boom(*args):
-        raise AssertionError("face kernel called although classify stored a verdict")
+        raise AssertionError("face scan run although classify stored a verdict")
 
-    monkeypatch.setattr(recognition, "_face_failures", boom)
+    monkeypatch.setattr(recognition, "_first_failing_face", boom)
     budget = 3**5 - 2**5
     for phi, gate, want in [
         (border, is_uso_fast, True),

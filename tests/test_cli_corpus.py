@@ -1,13 +1,14 @@
 """A seeded contract corpus for the subcommands that read .uso input, pinned byte for byte.
 
-The corpus runs about 150 calls of check, class, dual, gen extend|complement|flip
+The corpus runs about 160 calls of check, class, dual, gen extend|complement|flip
 and orbits through cli.main, in process.  Their inputs are .uso texts of
 Klee-Minty cubes, flipped cubes, duals, odd and border USOs, cyclic PUSOs and
 non-orientations at n = 0..12, each mutated in one seeded way: CRLF line ends,
 a missing final newline, a rewritten dimension line, a vertical tab, file
 separator, BOM or non-UTF-8 byte, a replaced, deleted or truncated part, a
 doubled body or a trailing blank line.  Half of the inputs come through stdin,
-which sees CRLF as written, and half through files, which read it as LF.
+which sees CRLF as written, and half through files, which read it as LF.  Each
+dimension line of HEADERS also goes once through check - on a 3-cube's body.
 
 Every call keeps the exit-code contract of uso_kit.cli, and one sha256 over
 (argv, exit code, stdout, stderr) of the whole corpus is pinned.  A change
@@ -33,7 +34,7 @@ from uso_kit import (
 from uso_kit.cli import main
 from uso_kit.cube import read_outmap_stream
 
-CORPUS_SHA256 = "1a113b24157a9306c7665e0291c41ae2b3a89cb86041b5d1b32113cabe08ead0"
+CORPUS_SHA256 = "4d6365244cb06d2687142818e8f4c847e4ceb6cb43d8e7fabbf6d35788f8e58c"
 
 # dimension lines that int() or strip() might read differently from the format
 HEADERS = ("{n} ", " {n}", "0{n}", "020", "+{n}", "\uff13", "21", "-1", "1" + "0" * 20, "5" * 5000)
@@ -127,6 +128,20 @@ def _written_uso_parses_back(argv, out):
         read_outmap_stream(out.partition("\n")[2])
 
 
+def _run(argv, capsys, digest):
+    """One call through cli.main, held to the exit-code contract and added to the digest."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2, 3), (argv, code)
+    mismatch = code == 1 and "--expect" in argv and not err
+    if code and not mismatch:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    if code == 0:
+        assert not err, (argv, err)
+        _written_uso_parses_back(argv, out)
+    digest.update(repr((argv, code, out, err)).encode())
+
+
 def test_cli_corpus_keeps_the_exit_code_contract_and_its_digest(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rng = random.Random(19)
@@ -142,17 +157,13 @@ def test_cli_corpus_keeps_the_exit_code_contract_and_its_digest(tmp_path, capsys
         else:
             source = "-"
             monkeypatch.setattr(sys, "stdin", io.StringIO(text))
-        argv = [part.format(source) for part in argv]
-        code = main(argv)
-        out, err = capsys.readouterr()
-        assert code in (0, 1, 2, 3), (argv, code)
-        mismatch = code == 1 and "--expect" in argv and not err
-        if code and not mismatch:
-            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-        if code == 0:
-            assert not err, (argv, err)
-            _written_uso_parses_back(argv, out)
-        digest.update(repr((argv, code, out, err)).encode())
+        _run([part.format(source) for part in argv], capsys, digest)
+    # each dimension line of HEADERS once on a 3-cube's body: the seeded mutations draw none
+    # of the lines longer than 2 characters
+    body = emit_uso(klee_minty(3)).partition("\n")[2]
+    for header in HEADERS:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(header.format(n=3) + "\n" + body))
+        _run(["check", "-"], capsys, digest)
     for argv in (["check", "missing.uso"], ["dual", "."], ["orbits", "missing.uso"]):
         code = main(argv)
         out, err = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import functools
 import random
+from math import comb
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from uso_kit import (
     is_uso_fast,
     is_uso_naive,
     klee_minty,
+    odd_family,
 )
 from uso_kit import recognition
 from uso_kit.cube import face_schedule
@@ -102,45 +104,71 @@ def test_fast_budget_holds_on_failures_too():
         assert counter.count == 3**2 - 2**2
 
 
+def _spy_stages(monkeypatch):
+    """Record the dimension stages the face scan reads, and the faces in each."""
+    stages = []
+    blocks = recognition._dimension_blocks
+
+    def spy(hoff, loff, prev, d):
+        found = blocks(hoff, loff, prev, d)
+        stages.append(((prev, d), sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in found)))
+        return found
+
+    monkeypatch.setattr(recognition, "_dimension_blocks", spy)
+    return stages
+
+
 def test_fast_check_on_a_bad_edge_reads_only_the_edge_slice(monkeypatch):
-    """One scan: an inconsistent edge stops it after the edges, at the full charge."""
+    """One scan: an inconsistent edge stops it after the n * 2**(n-1) edges, at the full charge."""
     values = list(klee_minty(12).values)
     values[0b101] ^= 1 << 3  # the edge at vertex 0b101 along coordinate 4 now fails
-    calls = []
-    kernel = recognition._face_failures
-
-    def spy(vals, n, start=0, stop=None):
-        calls.append((start, stop))
-        return kernel(vals, n, start, stop)
-
-    monkeypatch.setattr(recognition, "_face_failures", spy)
+    stages = _spy_stages(monkeypatch)
     counter = PairEvalCounter()
     assert not is_uso_fast(Outmap(12, tuple(values)), counter)
-    assert calls == [(0, 12 << 11)]
+    assert stages == [((0, 1), 12 << 11)]
     assert counter.count == 3**12 - 2**12
 
 
-@pytest.mark.parametrize("n", [3, 4, 12])
-def test_face_scan_cuts_the_schedule_into_slices_of_one_edge_count(monkeypatch, n):
-    """One cut rule: slices of n * 2**(n-1) faces, so is_orientation reads exactly the first."""
-    edges, total = n << n >> 1, 3**n - 2**n
-    calls = []
-    kernel = recognition._face_failures
+@pytest.mark.parametrize("n", [3, 4, 12, 16])
+def test_face_scan_reads_each_face_once_by_dimension(monkeypatch, n):
+    """Each face once: all at once up to n = 10, else the edges, the 2-faces, then the rest;
+    is_orientation reads only the edges; and only the two halves' schedules are built,
+    never the n-cube's."""
+    recognition._product_halves.cache_clear()
+    built = []
+    schedule = recognition.face_schedule
 
-    def spy(vals, n, start=0, stop=None):
-        calls.append((start, stop))
-        return kernel(vals, n, start, stop)
+    def spy(k):
+        built.append(k)
+        return schedule(k)
 
-    monkeypatch.setattr(recognition, "_face_failures", spy)
+    monkeypatch.setattr(recognition, "face_schedule", spy)
+    stages = _spy_stages(monkeypatch)
+    edges, squares, total = n << n >> 1, comb(n, 2) << n - 2, 3**n - 2**n
     counter = PairEvalCounter()
     assert is_uso_fast(klee_minty(n), counter)
-    assert calls == [(s, min(s + edges, total)) for s in range(0, total, edges)]
+    if n <= 10:
+        assert stages == [((0, n), total)]
+    else:
+        assert stages == [((0, 1), edges), ((1, 2), squares), ((2, n), total - edges - squares)]
     assert counter.count == total
-    calls.clear()
+    K = recognition._product_halves(n)[0]
+    assert set(built) == {K, n - K}
+    assert max(built) == n - K < n
+    stages.clear()
     counter = PairEvalCounter()
     assert is_orientation(klee_minty(n), counter) == (True, None)
-    assert calls == [(0, edges)]
+    assert stages == [((0, 1), edges)]
     assert counter.count == edges
+
+
+def test_schedule_position_is_the_face_schedule_index():
+    """The closed-form position of every face, n <= 8, is its index in face_schedule(n)."""
+    for n in range(9):
+        lowers, uppers = face_schedule(n)
+        faces = zip(lowers.tolist(), uppers.tolist())
+        positions = [recognition._schedule_position(n, FaceSpec(lo, up)) for lo, up in faces]
+        assert positions == list(range(3**n - 2**n))
 
 
 def test_naive_scans_all_pairs_on_usos():
@@ -319,7 +347,7 @@ def _with_two_cycle(phi, rng):
 
 
 def test_face_scan_agrees_with_the_whole_schedule_oracle():
-    """classify's sliced scan stops at the first failing face of one whole-schedule call."""
+    """classify's product scan stops at the first failing face of one whole-schedule call."""
     vals = _orientation_values(3)
     for row, f in zip(vals, _first_failing_faces(vals, 3)):
         _assert_classify_reads_the_oracle_face(Outmap(3, tuple(row.tolist())), f)
@@ -333,7 +361,7 @@ def test_face_scan_agrees_with_the_whole_schedule_oracle():
     firsts = _first_failing_faces([phi.values for phi in batch], 4)
     for phi, f in zip(batch, firsts):
         _assert_classify_reads_the_oracle_face(phi, f)
-    # the 4-cube's slices are faces 0..31, 32..63 and 64, the whole cube
+    # the 4-cube's edges are faces 0..31, its 2- and 3-faces 32..63, and 64 is the whole cube
     assert {None, 64} <= set(firsts)
     assert any(f < 32 for f in firsts if f is not None)
     assert any(32 <= f < 64 for f in firsts if f is not None)
@@ -347,8 +375,108 @@ def test_face_scan_agrees_with_the_whole_schedule_oracle():
                     firsts += _first_failing_faces([psi.values], n)
                     _assert_classify_reads_the_oracle_face(psi, firsts[-1])
         assert {None, 3**n - 2**n - 1} <= set(firsts)
-        # a 2-cycle fails past the first non-edge slice, before the whole cube
+        # a 2-cycle fails on a 2-face past the first 2 * n * 2**(n-1) faces, before the whole cube
         assert any(2 * (n << n >> 1) <= f < 3**n - 2**n - 1 for f in firsts if f is not None)
+
+
+def _puso_product(n, groups, rng):
+    """Flipped cyclic PUSOs on the coordinate groups times a flipped Klee-Minty cube on the
+    other coordinates.  A face fails when it spans a whole group, so the first failing
+    faces are the smallest groups', and two equal groups compete by their carriers."""
+    rest = [c for c in range(n) if not any(c in group for group in groups)]
+    parts = [(group, flip(cyclic_puso(len(group)), rng.getrandbits(len(group))))
+             for group in groups]
+    parts.append((rest, flip(klee_minty(len(rest)), rng.getrandbits(len(rest)))))
+
+    def value(v):
+        out = 0
+        for coords, phi in parts:
+            x = phi[sum((v >> c & 1) << i for i, c in enumerate(coords))]
+            out |= sum((x >> i & 1) << c for i, c in enumerate(coords))
+        return out
+
+    return Outmap(n, tuple(value(v) for v in range(1 << n)))
+
+
+def _assert_scans_read_the_oracle(phi):
+    """classify and is_orientation report the (count, face) of a face-by-face scan of
+    the whole schedule; returns the dimension of the first failing face, or None."""
+    n, edges = phi.n, phi.n << phi.n >> 1
+    (f,) = _first_failing_faces([phi.values], n)
+    _assert_classify_reads_the_oracle_face(phi, f)
+    counter = PairEvalCounter()
+    ok, edge = is_orientation(phi, counter)
+    if f is None:
+        assert (ok, edge, counter.count) == (True, None, edges)
+        return None
+    lower, upper = (int(side[f]) for side in face_schedule(n))
+    if f >= edges:
+        assert (ok, edge, counter.count) == (True, None, edges)
+    else:
+        assert (ok, edge, counter.count) == (False, (lower, (lower ^ upper).bit_length()), f + 1)
+    return (lower ^ upper).bit_count()
+
+
+@st.composite
+def scan_inputs(draw):
+    """One outmap of dimension n <= 10: a flipped Klee-Minty cube, alone or with one bit
+    or one edge reversed, a flipped cyclic PUSO, PUSOs times a USO, a flipped odd_family
+    7-cube, or an arbitrary function."""
+    kind = draw(st.sampled_from(("uso", "puso", "product", "odd", "function")))
+    n = 7 if kind == "odd" else draw(st.integers(2 if kind in ("puso", "product") else 0, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "function":
+        return random_outmap(n, rng)
+    if kind == "puso":
+        return flip(cyclic_puso(n), rng.getrandbits(n))
+    if kind == "product":  # one PUSO of dimension >= 2, or two of dimension 2 or 3
+        coords = rng.sample(range(n), n)
+        size = draw(st.integers(2, n if n < 4 else 3))
+        groups = [coords[:size]]
+        if n >= 2 * size and draw(st.booleans()):
+            groups.append(coords[size : 2 * size])
+        return _puso_product(n, groups, rng)
+    base = odd_family(8, rng.getrandbits(16)) if kind == "odd" else klee_minty(n)
+    values = list(flip(base, rng.getrandbits(n)).values)
+    change = draw(st.sampled_from(("none", "bit", "edge"))) if n else "none"
+    if change != "none":
+        v, e = rng.getrandbits(n), 1 << rng.randrange(n)
+        values[v] ^= e
+        if change == "edge":
+            values[v ^ e] ^= e
+    return Outmap(n, tuple(values))
+
+
+@given(scan_inputs())
+@settings(max_examples=200, deadline=None)
+def test_product_scan_agrees_with_the_whole_schedule_oracle(phi):
+    _assert_scans_read_the_oracle(phi)
+
+
+def test_product_scan_agrees_with_the_oracle_at_n_11_to_14():
+    """Seeded flipped Klee-Minty cubes, alone and with one bit or one edge reversed, cyclic
+    PUSOs and PUSOs times USOs: the first failing face of each dimension class is found,
+    also where a later block of the scan holds a smaller face of the same dimension."""
+    rng = random.Random(3311)
+    for n in range(11, 15):
+        base = flip(klee_minty(n), rng.getrandbits(n))
+        bit, edge = list(base.values), list(base.values)
+        v, e = rng.getrandbits(n), 1 << rng.randrange(n)
+        bit[v] ^= e
+        edge[v] ^= e
+        edge[v ^ e] ^= e
+        phis = [base, Outmap(n, tuple(bit)), Outmap(n, tuple(edge))]
+        phis.append(flip(cyclic_puso(n), rng.getrandbits(n)))
+        phis += [_puso_product(n, [rng.sample(range(n), d)], rng) for d in (3, n // 2, n - 1)]
+        dims = [_assert_scans_read_the_oracle(phi) for phi in phis]
+        assert dims[0] is None and dims[1] == 1 and dims[3] == n
+        assert dims[4:] == [3, n // 2, n - 1]
+        # {0, n - 1} is read before {k, k + 1}, which comes first; the same with three coordinates
+        k = n // 2
+        for small, large in (([k, k + 1], [0, n - 1]), ([k, k + 1, k + 2], [0, 1, n - 1])):
+            phi = _puso_product(n, [large, small], rng)
+            _assert_scans_read_the_oracle(phi)
+            assert classify(phi).puso_face.carrier == sum(1 << c for c in small)
 
 
 @st.composite
