@@ -7,7 +7,9 @@ the exact counts that only runs when USO_KIT_OPT_IN lists its targets, e.g.
     USO_KIT_OPT_IN=uso4,odd5 pytest tests/test_acceptance.py -v -s
 
 Its odd5 part sums the filter over all 12928 lower facets in one process
-and takes about 20 seconds.  A part other than uso4 and odd5 (a typo such
+and takes about 20 seconds; its uso4 part also counts the odd and border
+rows among all 5541744 4-USOs, by all pairs and by the disjoint pairs, in
+about 10 seconds.  A part other than uso4 and odd5 (a typo such
 as odd_5) stops the module at collection rather than skipping the oracle.
 Everything else finishes in well under a minute.
 """
@@ -18,6 +20,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from uso_kit import (
@@ -231,6 +234,51 @@ def test_unknown_opt_in_parts_fail_loudly(monkeypatch):
     assert _opted_in() == {"uso4", "odd5"}
 
 
+def _odd_and_border_4_usos():
+    """Odd and border 4-USOs among all 5541744, each found twice, by the
+    pair definitions over all 120 vertex pairs and by the 40 disjoint pairs
+    (the border condition on the values, and on the inverse for odd).
+
+    Rows come one coloring g at a time: each pair of 3-USO facets that g
+    keys alike is joined as lower | g * 8 and upper | (1 - g) * 8, in uint8
+    chunks of at most 65536 rows.  Returns (rows, odd, border, disjoint odd,
+    disjoint border, rows on which the two methods disagree).
+    """
+    vals3, sinks = enumeration._uso_values(3).astype(np.uint8), enumeration._uso_sink_rows(3)
+    verts = np.arange(16, dtype=np.uint8)
+    parity = np.array([v.bit_count() & 1 for v in range(16)], dtype=np.uint8)
+    u, v = (side.astype(np.uint8) for side in np.triu_indices(16, 1))
+    a, b = (side.astype(np.uint8) for side in np.nonzero(verts[:, None] & verts == 0))
+    a, b = a[a < b], b[a < b]
+    assert (len(u), len(a)) == (120, 40)
+
+    def passes(w, p, q, odd):
+        """Rows of w with no failing pair (p[j], q[j]): with D = w(p) ^ w(q), a pair
+        fails when p ^ q lies inside D and |p ^ q| is even (odd), or D inside p ^ q
+        and |D| even (border; on disjoint pairs p ^ q is p | q)."""
+        d, x = w[:, p] ^ w[:, q], p ^ q
+        inner, outer = (x, d) if odd else (d, x)
+        return ~((inner & ~outer == 0) & (parity[inner] == 0)).any(axis=1)
+
+    totals = np.zeros(6, dtype=np.int64)
+    for g in range(256):
+        keys = enumeration._coloring_keys(sinks, 3, [g])[:, 0]
+        i0, i1 = np.nonzero(keys[:, None] == keys)
+        color = (g >> verts[:8] & 1) << 3
+        for lo in range(0, len(i0), 1 << 16):
+            phi = np.concatenate(
+                [vals3[i0[lo : lo + (1 << 16)]] | color, vals3[i1[lo : lo + (1 << 16)]] | color ^ 8],
+                axis=1,
+            )
+            inverse = phi.argsort(axis=1).astype(np.uint8)  # a USO is a bijection
+            odd, border = passes(phi, u, v, True), passes(phi, u, v, False)
+            odd_disjoint, border_disjoint = passes(inverse, a, b, False), passes(phi, a, b, False)
+            wrong = (odd != odd_disjoint) | (border != border_disjoint)
+            totals += [len(phi), odd.sum(), border.sum(), odd_disjoint.sum(),
+                       border_disjoint.sum(), wrong.sum()]
+    return tuple(totals.tolist())
+
+
 @pytest.mark.skipif(
     not _opted_in() & {"uso4", "odd5"},
     reason="long-running full-range oracle of the exact counts (odd5 takes about 20 seconds "
@@ -241,6 +289,8 @@ def test_criterion_8_opt_in_exact_counts():
     targets = _opted_in()
     if "uso4" in targets:
         assert count_uso_successor(3) == 5_541_744
+        # the n = 4 odd and border cells by a second method, border(4) without duality
+        assert _odd_and_border_4_usos() == (5_541_744, 12928, 12928, 12928, 12928, 0)
     if "odd5" in targets:
         table = count_table(5, opt_in=("odd5",))
         assert table.rows[5].odd == 44_075_264

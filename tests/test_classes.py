@@ -54,6 +54,7 @@ from conftest import (
     TWIN_PEAK,
     random_outmap,
 )
+from test_enumeration import _merge_sinks
 
 
 def test_dual_fixed_pair(border_3, km_3):
@@ -300,6 +301,119 @@ def test_containment_scan_property(n, seed, mask, take_dual, block):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(recognition, "_PAIR_BLOCK", block)
         _assert_scans_match(dual(phi) if take_dual else phi, _scan_reference)
+
+
+# ---------------------------------------------------------------------------
+# the disjoint-pair screen against the all-pairs scan
+
+
+def _assert_screen_is_the_pair_scan(phi):
+    """is_border and is_odd on phi give the answers and counts of a direct
+    _first_failing_pair call (the screen switched off), and each screen verdict is
+    that call's verdict.  Returns the screen verdicts, border first."""
+    seen = []
+    screen = classes._border_on_disjoint_pairs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classes, "_border_on_disjoint_pairs", lambda v, n: seen.append(screen(v, n)) or seen[-1])
+        got = [(scan(phi, counter := PairEvalCounter()), counter.count) for scan in (is_border, is_odd)]
+        patch.setattr(classes, "_border_on_disjoint_pairs", lambda v, n: False)
+        want = [(scan(phi, counter := PairEvalCounter()), counter.count) for scan in (is_border, is_odd)]
+    assert got == want
+    assert seen == [ok for (ok, _), _ in want]
+    return seen
+
+
+def _coloring_join(lower, upper, rng):
+    """The (m + 1)-USO with facets lower and upper joined by a seeded coloring of the
+    connecting edges, constant on each component of the forest that joins every
+    facet face's sink in lower with its sink in upper (1 = the edge points up)."""
+    size = 1 << lower.n
+    sinks = ([], [])
+    for c in range(size):
+        for side, phi in zip(sinks, (lower, upper)):
+            found = np.flatnonzero(np.asarray(phi.values) & c == 0)  # one sink per face
+            side += found[np.argsort(found & ~c)].tolist()
+    parent, _ = _merge_sinks(*sinks, size)
+    roots = []
+    for v in range(size):
+        while parent[v] != v:
+            v = parent[v]
+        roots.append(v)
+    color = {root: rng.getrandbits(1) for root in sorted(set(roots))}
+    g = [color[root] << lower.n for root in roots]
+    return Outmap(lower.n + 1, tuple(
+        [lower[v] | g[v] for v in range(size)] + [upper[v] | g[v] ^ size for v in range(size)]
+    ))
+
+
+def test_screen_matches_the_pair_scan_on_small_and_joined_usos():
+    """Every USO of dimension <= 3, 2000 seeded 4-USOs and coloring joins at n = 5..8,
+    each with its dual."""
+    rng = random.Random(3434)
+    usos = [Outmap(0, (0,))] + [phi for n in (1, 2, 3) for phi in enumerate_usos(n)]
+    usos += [random_uso(4, rng) for _ in range(2000)]
+    facets = [random_uso(4, rng) for _ in range(4)] + [flip(klee_minty(4), 0b0110)]
+    for n in range(5, 9):
+        facets = [_coloring_join(*rng.sample(facets, 2), rng) for _ in range(5)]
+        facets.append(_coloring_join(klee_minty(n - 1), klee_minty(n - 1), rng))
+        assert all(is_uso_fast(phi) for phi in facets)
+        usos += facets
+    seen = set()
+    for phi in usos:
+        for psi in (phi, dual(phi)):
+            seen.update(enumerate(_assert_screen_is_the_pair_scan(psi)))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_screen_matches_the_pair_scan_on_all_odd_4_usos_and_their_duals():
+    """For each odd 4-USO phi and its inverse: the screen finds phi odd and its inverse
+    border, and its verdicts on phi as border and on the inverse as odd are those of
+    _first_failing_pair."""
+    rows = enumeration._odd_values(4)
+    verts = np.arange(16, dtype=rows.dtype)
+    parity = recognition._vertex_parity(4)
+    both = 0
+    for vals in rows:
+        inverse = np.empty_like(vals)
+        inverse[vals] = verts
+        assert classes._border_on_disjoint_pairs(inverse, 4)
+        border = classes._border_on_disjoint_pairs(vals, 4)
+        scans = [
+            recognition._first_failing_pair(vals, ~verts, verts, parity[vals]),  # phi border
+            recognition._first_failing_pair(verts, ~inverse, inverse, parity),  # inverse odd
+        ]
+        assert [witness is None for _, witness in scans] == [border, border]
+        both += border
+    assert len(rows) == 12928 and both == 1536
+
+
+def test_screen_matches_the_pair_scan_up_to_n_14():
+    """Flipped Klee-Minty cubes and odd_family(8, .) members, with their duals."""
+    rng = random.Random(1414)
+    usos = [flip(klee_minty(n), rng.getrandbits(n)) for n in range(15)]
+    usos += [_reversed_edge_klee_minty(n) for n in (9, 12)]
+    usos += [flip(odd_family(8, rng.getrandbits(16)), rng.getrandbits(7)) for _ in range(3)]
+    for phi in usos:
+        for psi in (phi, dual(phi)):
+            _assert_screen_is_the_pair_scan(psi)
+
+
+def test_accepts_make_no_pair_scan_and_rejects_one(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    real = classes._first_failing_pair
+    monkeypatch.setattr(classes, "_first_failing_pair", spy)
+    phi = flip(klee_minty(12), 0b101101110001)
+    counter = PairEvalCounter()
+    assert is_odd(phi, counter) == (True, None) and calls == []
+    assert counter.count == 3**12 - 2**12 + 4096 * 4095 // 2
+    assert is_border(dual(phi), counter) == (True, None) and calls == []
+    ok, witness = is_border(phi)
+    assert not ok and _pair_fails(phi, *witness, False) and calls == [4096]
 
 
 def test_border_and_odd_require_usos(twin_peak):
